@@ -14,8 +14,6 @@
 //! Headline numbers live in `benches/README.md` next to the smoke-gate
 //! floors they justify.
 
-use std::time::Instant;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use tm_server::{BatchPolicy, Batcher, PendingWrite, WriteOp};
 use tm_stm::{tagless_stm, TmEngine, TxnOps, WORD_BYTES};
@@ -28,20 +26,16 @@ const BURST: u64 = 256;
 
 fn run_burst<E: TmEngine>(engine: &E, policy: BatchPolicy) {
     let mut batcher = Batcher::new(policy);
-    let now = Instant::now();
     for i in 0..BURST {
-        batcher.push(
-            PendingWrite {
-                session: i % 8,
-                id: i,
-                token: None,
-                op: WriteOp::Add {
-                    key: i % HEAP_WORDS as u64,
-                    delta: 1,
-                },
+        batcher.push(PendingWrite {
+            session: i % 8,
+            id: i,
+            token: None,
+            op: WriteOp::Add {
+                key: i % HEAP_WORDS as u64,
+                delta: 1,
             },
-            now,
-        );
+        });
     }
     for group in batcher.drain() {
         engine.run(0, |txn| {

@@ -21,10 +21,12 @@
 //!    transaction grows quadratically with its footprint (the paper's `W²`
 //!    law), so unbounded merging would trade fixed-cost savings for
 //!    retried *work*, which is the worse side of the trade.
-//! 3. **bounded latency** — the first enqueued request starts a
-//!    [`BatchPolicy::latency_budget`] timer; at the deadline the batcher
-//!    flushes whatever it has. Group commit trades a bounded amount of
-//!    added latency for throughput, never an unbounded amount.
+//! 3. **self-clocking flush** — the shard flushes as soon as its inbox
+//!    has nothing more queued, or once the batcher holds
+//!    [`BatchPolicy::max_ops`] requests across all its groups. A lone
+//!    write therefore commits at once, and groups grow only while a
+//!    backlog exists: the load sets the group size, which keeps `W` as
+//!    small as the load allows.
 //!
 //! Requests that fail rule 1 or 2 against the *open* group seal it and
 //! start a new one; groups flush in FIFO order, so per-session request
@@ -33,7 +35,6 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::fault::{CrashPoint, FaultState};
 
@@ -97,18 +98,18 @@ impl WriteOp {
     }
 }
 
-/// Group-commit policy knobs.
+/// Group-commit policy knobs. When to flush is not one of them: the shard
+/// flushes whenever its inbox runs dry (see the module docs, rule 3).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPolicy {
-    /// Maximum requests folded into one transaction. `1` disables group
-    /// commit entirely (every write is its own transaction).
+    /// Maximum requests pending in the batcher, across all its groups,
+    /// before the shard flushes; hence also the most requests folded into
+    /// one transaction. `1` disables group commit entirely (every write is
+    /// its own transaction).
     pub max_ops: usize,
     /// Maximum distinct keys a merged transaction may touch (the `W` cap;
     /// see the module docs for why this is bounded).
     pub max_footprint: usize,
-    /// How long the oldest enqueued request may wait before the batcher
-    /// flushes regardless of fill.
-    pub latency_budget: Duration,
 }
 
 impl BatchPolicy {
@@ -118,17 +119,15 @@ impl BatchPolicy {
         Self {
             max_ops: 1,
             max_footprint: usize::MAX,
-            latency_budget: Duration::ZERO,
         }
     }
 
-    /// A moderate default: up to 32 requests or 128 keys per transaction,
-    /// flushed within 500 µs.
+    /// A moderate default: up to 32 pending requests, and up to 128 keys
+    /// per transaction.
     pub fn grouped() -> Self {
         Self {
             max_ops: 32,
             max_footprint: 128,
-            latency_budget: Duration::from_micros(500),
         }
     }
 }
@@ -151,11 +150,27 @@ impl Group {
         if self.ops.len() >= policy.max_ops {
             return false;
         }
-        let fresh: HashSet<u64> = op.keys().iter().copied().collect();
-        if fresh.iter().any(|k| self.keys.contains(k)) {
+        let keys = op.keys();
+        if keys.iter().any(|k| self.keys.contains(k)) {
             return false; // rule 1: key-disjoint
         }
-        self.keys.len() + fresh.len() <= policy.max_footprint // rule 2
+        // Rule 2, where a key repeated inside the op counts once. Ops are
+        // short, so the distinct count is a scan over the op's own prefix;
+        // it stops as soon as the count overflows the room left.
+        let room = policy.max_footprint.saturating_sub(self.keys.len());
+        if keys.len() <= room {
+            return true;
+        }
+        let mut fresh = 0;
+        for (i, k) in keys.iter().enumerate() {
+            if !keys[..i].contains(k) {
+                fresh += 1;
+                if fresh > room {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     fn push(&mut self, op: PendingWrite) {
@@ -171,13 +186,8 @@ impl Group {
 pub struct Batcher {
     policy: BatchPolicy,
     groups: Vec<Group>,
-    oldest: Option<Instant>,
     /// Armed fault plan, when chaos testing injects crashes here.
     faults: Option<Arc<FaultState>>,
-    /// Requests folded so far (monotone; for coalescing-factor reporting).
-    pub ops_batched: u64,
-    /// Groups flushed so far (monotone).
-    pub groups_flushed: u64,
 }
 
 impl Batcher {
@@ -192,16 +202,8 @@ impl Batcher {
         Self {
             policy,
             groups: Vec::new(),
-            oldest: None,
             faults,
-            ops_batched: 0,
-            groups_flushed: 0,
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
     }
 
     /// Enqueue a write. Joins the open (last) group when compatible,
@@ -210,12 +212,10 @@ impl Batcher {
     /// Crash point: an injected panic fires *before* the write is
     /// enqueued, modeling a failure between admission and the batcher —
     /// recovery must release the admission budget and poison the caller.
-    pub fn push(&mut self, op: PendingWrite, now: Instant) {
+    pub fn push(&mut self, op: PendingWrite) {
         if let Some(f) = &self.faults {
             f.crash_point(CrashPoint::BatchEnqueue);
         }
-        self.oldest.get_or_insert(now);
-        self.ops_batched += 1;
         match self.groups.last_mut() {
             Some(g) if g.accepts(&op.op, &self.policy) => g.push(op),
             _ => {
@@ -240,27 +240,16 @@ impl Batcher {
             .any(|g| g.ops.iter().any(|op| op.session == session))
     }
 
-    /// When the latency budget forces a flush, if anything is enqueued.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.oldest.map(|t| t + self.policy.latency_budget)
+    /// Must the shard flush before taking another message? True once the
+    /// batcher holds [`BatchPolicy::max_ops`] requests across its groups.
+    /// Overlapping keys seal groups after a few ops, so this total, not
+    /// any one group's fill, is what bounds the batcher under backlog.
+    pub fn should_flush(&self) -> bool {
+        self.groups.iter().map(|g| g.ops.len()).sum::<usize>() >= self.policy.max_ops
     }
 
-    /// Should the shard flush now? True when any group is full or the
-    /// oldest request's latency budget has expired.
-    pub fn should_flush(&self, now: Instant) -> bool {
-        if self.groups.is_empty() {
-            return false;
-        }
-        self.groups
-            .iter()
-            .any(|g| g.ops.len() >= self.policy.max_ops)
-            || self.deadline().is_some_and(|d| now >= d)
-    }
-
-    /// Take every pending group, FIFO, resetting the latency timer.
+    /// Take every pending group, FIFO.
     pub fn drain(&mut self) -> Vec<Group> {
-        self.oldest = None;
-        self.groups_flushed += self.groups.len() as u64;
         std::mem::take(&mut self.groups)
     }
 }
@@ -278,20 +267,30 @@ mod tests {
         }
     }
 
+    fn multi_add(session: u64, keys: &[u64]) -> PendingWrite {
+        PendingWrite {
+            session,
+            id: session,
+            token: None,
+            op: WriteOp::MultiAdd {
+                keys: keys.to_vec(),
+                delta: 1,
+            },
+        }
+    }
+
     fn policy(max_ops: usize, max_footprint: usize) -> BatchPolicy {
         BatchPolicy {
             max_ops,
             max_footprint,
-            latency_budget: Duration::from_millis(10),
         }
     }
 
     #[test]
     fn disjoint_ops_coalesce_into_one_group() {
         let mut b = Batcher::new(policy(8, 64));
-        let t = Instant::now();
         for k in 0..5 {
-            b.push(add(k, k, k), t);
+            b.push(add(k, k, k));
         }
         let groups = b.drain();
         assert_eq!(groups.len(), 1);
@@ -302,10 +301,9 @@ mod tests {
     #[test]
     fn key_overlap_seals_the_group() {
         let mut b = Batcher::new(policy(8, 64));
-        let t = Instant::now();
-        b.push(add(0, 0, 7), t);
-        b.push(add(1, 1, 8), t);
-        b.push(add(2, 2, 7), t); // same key as op 0 → new group
+        b.push(add(0, 0, 7));
+        b.push(add(1, 1, 8));
+        b.push(add(2, 2, 7)); // same key as op 0 → new group
         let groups = b.drain();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].ops.len(), 2);
@@ -315,60 +313,53 @@ mod tests {
     #[test]
     fn footprint_cap_seals_the_group() {
         let mut b = Batcher::new(policy(8, 4));
-        let t = Instant::now();
-        b.push(
-            PendingWrite {
-                session: 0,
-                id: 0,
-                token: None,
-                op: WriteOp::MultiAdd {
-                    keys: vec![0, 1, 2],
-                    delta: 1,
-                },
-            },
-            t,
-        );
-        b.push(
-            PendingWrite {
-                session: 1,
-                id: 1,
-                token: None,
-                op: WriteOp::MultiAdd {
-                    keys: vec![3, 4],
-                    delta: 1,
-                },
-            },
-            t,
-        ); // 3 + 2 > 4 → sealed
+        b.push(multi_add(0, &[0, 1, 2]));
+        b.push(multi_add(1, &[3, 4])); // 3 + 2 > 4 → sealed
+        assert_eq!(b.drain().len(), 2);
+    }
+
+    #[test]
+    fn repeated_keys_count_once_but_still_conflict() {
+        // A key repeated inside one op counts once against max_footprint:
+        // {0, 1} plus the single distinct key 2 fits a footprint of 3.
+        let mut b = Batcher::new(policy(8, 3));
+        b.push(multi_add(0, &[0, 1]));
+        b.push(multi_add(1, &[2, 2, 2, 2]));
+        let groups = b.drain();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].footprint(), 3);
+
+        // Two new distinct keys overflow the same cap, however repeated.
+        b.push(multi_add(0, &[0, 1]));
+        b.push(multi_add(1, &[2, 3, 2, 3]));
+        assert_eq!(b.drain().len(), 2);
+
+        // An op that repeats a key already in the group still seals it.
+        b.push(multi_add(0, &[5]));
+        b.push(multi_add(1, &[5, 5]));
         assert_eq!(b.drain().len(), 2);
     }
 
     #[test]
     fn max_ops_triggers_flush_and_unbatched_never_groups() {
-        let mut b = Batcher::new(policy(2, 64));
-        let t = Instant::now();
-        b.push(add(0, 0, 0), t);
-        assert!(!b.should_flush(t));
-        b.push(add(1, 1, 1), t);
-        assert!(b.should_flush(t), "full group must flush");
+        // Writes to one key seal a group each: no group is full, but the
+        // batcher holds max_ops requests across its groups and must flush.
+        let mut b = Batcher::new(policy(3, 64));
+        b.push(add(0, 0, 7));
+        b.push(add(1, 1, 7));
+        assert!(!b.should_flush());
+        b.push(add(2, 2, 7));
+        assert!(b.should_flush(), "max_ops pending must flush");
+        assert_eq!(b.drain().len(), 3);
+        assert!(!b.should_flush(), "drain resets the pending count");
 
         let mut u = Batcher::new(BatchPolicy::unbatched());
-        u.push(add(0, 0, 0), t);
-        u.push(add(1, 1, 1), t);
+        u.push(add(0, 0, 0));
+        assert!(u.should_flush(), "max_ops=1 flushes every write");
+        u.push(add(1, 1, 1));
         let groups = u.drain();
         assert_eq!(groups.len(), 2, "max_ops=1 means one txn per request");
         assert!(u.is_empty());
-    }
-
-    #[test]
-    fn latency_budget_forces_flush() {
-        let mut b = Batcher::new(policy(64, 1024));
-        let t = Instant::now();
-        b.push(add(0, 0, 0), t);
-        assert!(!b.should_flush(t));
-        assert!(b.should_flush(t + Duration::from_millis(11)));
-        b.drain();
-        assert_eq!(b.deadline(), None, "drain resets the timer");
     }
 
     #[test]
@@ -384,9 +375,8 @@ mod tests {
             abort_storm_per_mille: 0,
         };
         let mut b = Batcher::with_faults(policy(8, 64), Some(plan.arm()));
-        let t = Instant::now();
-        b.push(add(0, 0, 0), t);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.push(add(1, 1, 1), t)));
+        b.push(add(0, 0, 0));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.push(add(1, 1, 1))));
         assert!(r.is_err(), "second push must hit the scheduled crash");
         // The crash fired before enqueue: the write is NOT in the batcher.
         let groups = b.drain();
@@ -400,10 +390,9 @@ mod tests {
         // A session's second write lands in a later group than its first
         // even when the second would fit an earlier-sealed group.
         let mut b = Batcher::new(policy(8, 64));
-        let t = Instant::now();
-        b.push(add(0, 0, 1), t);
-        b.push(add(0, 1, 1), t); // overlaps → seals group 0
-        b.push(add(0, 2, 2), t); // joins group 1 (disjoint with key 1)
+        b.push(add(0, 0, 1));
+        b.push(add(0, 1, 1)); // overlaps → seals group 0
+        b.push(add(0, 2, 2)); // joins group 1 (disjoint with key 1)
         let groups = b.drain();
         assert_eq!(groups.len(), 2);
         let order: Vec<u64> = groups

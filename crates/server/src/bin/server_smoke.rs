@@ -19,7 +19,6 @@
 //! Usage: `server_smoke [--drivers N] [--sessions N] [--requests N]`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use tm_harness::AccessPattern;
 use tm_server::loadgen::{run_loadgen, ArrivalProcess, LoadReport, LoadgenConfig};
@@ -145,11 +144,7 @@ fn main() {
 
     // Phase B: group commit, same fleet.
     let mut cfg = ServerConfig::new(KEY_UNIVERSE);
-    cfg.batch = BatchPolicy {
-        max_ops: 32,
-        max_footprint: 128,
-        latency_budget: Duration::from_micros(500),
-    };
+    cfg.batch = BatchPolicy::grouped();
     cfg.admission = AdmissionPolicy::unlimited();
     let (b_report, b_stats, b_conserved) = run_phase("phase B: group commit", cfg, &fleet_ab);
     gate(b_conserved, "phase B: conservation violated".into());

@@ -14,7 +14,7 @@
 //!   ordering, so clients pipeline freely;
 //! * [`batch`] — **group commit**: key-disjoint write requests from
 //!   different sessions coalesce into one engine transaction under a
-//!   footprint cap and a latency budget;
+//!   footprint cap, flushed as soon as the shard's inbox runs dry;
 //! * [`backpressure`] — admission control that contracts a shared inflight
 //!   budget as the engine's observed abort ratio rises, shedding load with
 //!   explicit `Busy` responses instead of collapsing;

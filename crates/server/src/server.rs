@@ -16,7 +16,10 @@
 //!   in arrival order, so pipelined requests are answered in order;
 //! * **lock-free coalescing** — each shard owns a private [`Batcher`], and
 //!   cross-session group commit happens because one shard serves many
-//!   sessions, not because shards share state;
+//!   sessions, not because shards share state. Group commit clocks itself
+//!   off the shard's inbox: the shard blocks only while nothing is
+//!   pending, then takes just the frames already queued and flushes when
+//!   the inbox runs dry or [`BatchPolicy::max_ops`] writes are pending;
 //! * **bounded engine concurrency** — the engine sees exactly `shards`
 //!   writer identities (`ThreadId` = shard index), so the paper's `C` is a
 //!   deployment knob rather than an emergent property of client count.
@@ -32,10 +35,9 @@
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use tm_stm::{Aborted, ReadOps, TmEngine, TxnOps, WORD_BYTES};
 
@@ -44,10 +46,6 @@ use crate::batch::{BatchPolicy, Batcher, Group, PendingWrite, WriteOp};
 use crate::fault::{CrashPoint, FaultState};
 use crate::protocol::{peek_id, ErrorCode, Request, RequestFrame, Response};
 use crate::session::{DedupVerdict, ServerMsg, SessionId, SessionRegistry, DEFAULT_DEDUP_WINDOW};
-
-/// How long an idle shard sleeps between wakeups when no flush deadline is
-/// pending.
-const IDLE_TICK: Duration = Duration::from_millis(2);
 
 /// Write ops between admission-controller observations (shard 0 only).
 const OBSERVE_EVERY: u64 = 256;
@@ -421,8 +419,9 @@ fn shard_thread<E: TmEngine>(
     }
 }
 
-/// One shard: decode, serve reads inline, batch writes, flush on fill or
-/// deadline, observe abort ratio into the admission budget.
+/// One shard: decode, serve reads inline, batch writes, flush when the
+/// inbox runs dry or `max_ops` writes are pending, observe abort ratio into
+/// the admission budget.
 fn shard_loop<E: TmEngine>(
     shard_id: u32,
     rx: &Receiver<ServerMsg>,
@@ -436,15 +435,24 @@ fn shard_loop<E: TmEngine>(
     let mut writes_since_observe = 0u64;
 
     loop {
-        let timeout = state
-            .batcher
-            .deadline()
-            .map(|d| d.saturating_duration_since(Instant::now()))
-            .unwrap_or(IDLE_TICK);
-        match rx.recv_timeout(timeout) {
-            Ok(ServerMsg::Connect { session, sink }) => state.registry.connect(session, sink),
-            Ok(ServerMsg::Disconnect { session }) => state.registry.disconnect(session),
-            Ok(ServerMsg::Frame { session, bytes }) => {
+        // Self-clocking group commit (see the module docs): block only
+        // while nothing is pending, and flush once the inbox runs dry.
+        let msg = if state.batcher.is_empty() {
+            rx.recv().ok()
+        } else {
+            match rx.try_recv() {
+                Ok(msg) => Some(msg),
+                Err(TryRecvError::Empty) => {
+                    flush(shard_id, engine, config, stats, admission, state);
+                    continue;
+                }
+                Err(TryRecvError::Disconnected) => None,
+            }
+        };
+        match msg {
+            Some(ServerMsg::Connect { session, sink }) => state.registry.connect(session, sink),
+            Some(ServerMsg::Disconnect { session }) => state.registry.disconnect(session),
+            Some(ServerMsg::Frame { session, bytes }) => {
                 handle_frame(
                     shard_id,
                     session,
@@ -457,19 +465,15 @@ fn shard_loop<E: TmEngine>(
                     &mut writes_since_observe,
                 );
             }
-            Ok(ServerMsg::Shutdown) => {
-                // Graceful drain: in-flight groups fully commit (their acks
-                // go out) and nothing new is accepted after this message.
-                flush(shard_id, engine, config, stats, admission, state);
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
+            // Graceful drain (on `Shutdown` or a vanished router): pending
+            // groups fully commit (their acks go out) and nothing new is
+            // accepted after this point.
+            Some(ServerMsg::Shutdown) | None => {
                 flush(shard_id, engine, config, stats, admission, state);
                 return;
             }
         }
-        if state.batcher.should_flush(Instant::now()) {
+        if state.batcher.should_flush() {
             flush(shard_id, engine, config, stats, admission, state);
         }
         // Shard 0 periodically folds the windowed abort ratio into the
@@ -732,15 +736,12 @@ fn handle_frame<E: TmEngine>(
                 token,
                 cost,
             });
-            state.batcher.push(
-                PendingWrite {
-                    session,
-                    id,
-                    token,
-                    op,
-                },
-                Instant::now(),
-            );
+            state.batcher.push(PendingWrite {
+                session,
+                id,
+                token,
+                op,
+            });
             state.processing = None;
         }
         Request::Idempotent { .. } => {
@@ -893,5 +894,233 @@ fn deliver_current(admission: &Admission, state: &mut ShardState) {
                 .dedup_complete(pw.session, token, response.clone());
         }
         state.registry.respond(pw.session, pw.id, response);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The flush triggers, each driven over a pre-filled inbox: every
+    //! message is queued before the shard starts, so where the shard finds
+    //! its inbox empty is fixed by construction, not by timing.
+
+    use super::*;
+    use crate::protocol::ResponseFrame;
+    use tm_stm::StmBuilder;
+
+    const KEYS: u64 = 1024;
+    type Script = Vec<(SessionId, Request)>;
+    type Answers = Vec<(u64, Response)>;
+    type Sink = Receiver<Vec<u8>>;
+
+    /// An inbox pre-filled with a connect per session, then `script`
+    /// (request `i` under correlation id `i`), and each session's response
+    /// stream.
+    fn inbox(sessions: u64, script: Script) -> (Sender<ServerMsg>, Receiver<ServerMsg>, Vec<Sink>) {
+        let (tx, rx) = channel();
+        let sinks = (0..sessions)
+            .map(|session| {
+                let (sink, responses) = channel();
+                tx.send(ServerMsg::Connect { session, sink }).unwrap();
+                responses
+            })
+            .collect();
+        for (id, (session, request)) in (0..).zip(script) {
+            let bytes = RequestFrame { id, request }.encode();
+            tx.send(ServerMsg::Frame { session, bytes }).unwrap();
+        }
+        (tx, rx, sinks)
+    }
+
+    /// Run one shard — `max_ops` pending writes, an admission budget of
+    /// `inflight` keys — over `rx` to its end. Returns the counters and
+    /// the heap sum.
+    fn run_shard(
+        rx: Receiver<ServerMsg>,
+        max_ops: usize,
+        inflight: u64,
+    ) -> (ServerStatsSnapshot, u64) {
+        let mut config = ServerConfig::new(KEYS);
+        config.shards = 1;
+        config.batch.max_ops = max_ops;
+        (
+            config.admission.base_inflight,
+            config.admission.min_inflight,
+        ) = (inflight, inflight);
+        let engine = Arc::new(StmBuilder::new().heap_words(KEYS as usize).build_tagless());
+        let stats = Arc::new(ServerStats::default());
+        let admission = Arc::new(Admission::new(config.admission));
+        let (e, s, a) = (
+            Arc::clone(&engine),
+            Arc::clone(&stats),
+            Arc::clone(&admission),
+        );
+        shard_thread(0, rx, e, config, s, a);
+        let stats = stats.snapshot();
+        assert_eq!(admission.shed_count(), stats.busy);
+        assert_eq!(
+            admission.inflight(),
+            0,
+            "admitted writes released their cost"
+        );
+        (stats, engine.heap_sum(KEYS as usize))
+    }
+
+    /// Run `script` with `Shutdown` queued behind it; returns the counters,
+    /// the heap sum and each session's answers.
+    fn run(
+        max_ops: usize,
+        inflight: u64,
+        sessions: u64,
+        script: Script,
+    ) -> (ServerStatsSnapshot, u64, Vec<Answers>) {
+        let (tx, rx, sinks) = inbox(sessions, script);
+        tx.send(ServerMsg::Shutdown).unwrap();
+        let (stats, heap) = run_shard(rx, max_ops, inflight);
+        (
+            stats,
+            heap,
+            sinks.iter().map(|s| answers(s).collect()).collect(),
+        )
+    }
+
+    /// A session's responses as `(id, response)`, waiting for each.
+    fn answers(sink: &Sink) -> impl Iterator<Item = (u64, Response)> + '_ {
+        sink.iter().map(|bytes| {
+            let frame = ResponseFrame::decode(&bytes).unwrap();
+            (frame.id, frame.response)
+        })
+    }
+
+    fn add(key: u64) -> Request {
+        Request::Add { key, delta: 1 }
+    }
+
+    #[test]
+    fn empty_inbox_flushes_pending_writes() {
+        let (tx, rx, sinks) = inbox(1, (0..4).map(|k| (0, add(k))).collect());
+        let shard = std::thread::spawn(move || run_shard(rx, 1024, KEYS));
+        // The inbox stays open without a Shutdown, and max_ops is far off:
+        // only the inbox running dry can flush (else this waits forever).
+        let acks: Answers = answers(&sinks[0]).take(4).collect();
+        assert_eq!(
+            acks,
+            (0..4)
+                .map(|id| (id, Response::Added(1)))
+                .collect::<Answers>()
+        );
+        tx.send(ServerMsg::Shutdown).unwrap();
+        let (stats, _) = shard.join().unwrap();
+        assert_eq!(
+            stats.groups_committed, 1,
+            "one group, flushed when the inbox ran dry"
+        );
+    }
+
+    #[test]
+    fn max_ops_pending_flushes_across_groups() {
+        // Alternating keys seal a group every two writes, so no group ever
+        // fills; only the batcher's total of max_ops = 4 can flush before
+        // Shutdown. The budget admits 4 writes, so a batcher that kept a
+        // fifth pending would have shed it with Busy.
+        let (stats, _, answers) = run(4, 4, 1, (0..8).map(|i| (0, add(i % 2))).collect());
+        let expected: Answers = (0..8).map(|i| (i, Response::Added(i / 2 + 1))).collect();
+        assert_eq!(answers[0], expected);
+        assert_eq!(
+            (stats.busy, stats.groups_committed),
+            (0, 4),
+            "two flushes, two groups each"
+        );
+    }
+
+    #[test]
+    fn read_flushes_only_its_own_sessions_pending_writes() {
+        let get = Request::Get { key: 0 };
+        let script = vec![(0, add(0)), (1, get.clone()), (0, get)];
+        let (stats, _, answers) = run(1024, KEYS, 2, script);
+        // Session 1 has nothing pending, so its read does not flush and
+        // misses the parked write; session 0's read flushes first and sees
+        // its own write.
+        assert_eq!(answers[1], vec![(1, Response::Value(0))]);
+        assert_eq!(
+            answers[0],
+            vec![(0, Response::Added(1)), (2, Response::Value(1))]
+        );
+        assert_eq!(stats.groups_committed, 1);
+    }
+
+    #[test]
+    fn shutdown_flushes_pending_batches() {
+        // Shutdown is queued right behind the writes, so the inbox never
+        // runs dry while they are pending: only shutdown can flush them.
+        let (stats, heap, answers) = run(1024, KEYS, 1, (0..10).map(|k| (0, add(k))).collect());
+        assert_eq!(stats.groups_committed, 1);
+        // Shutdown drains the batcher before the shard exits.
+        let acks: Vec<_> = answers[0].iter().map(|(_, r)| r.clone()).collect();
+        assert_eq!(
+            acks,
+            vec![Response::Added(1); 10],
+            "graceful shutdown answers pending writes"
+        );
+        assert_eq!(heap, 10);
+    }
+
+    #[test]
+    fn tiny_admission_budget_sheds_with_busy() {
+        // Far more write cost than the budget admits: each MultiAdd costs
+        // 8, and two fit before a flush releases them.
+        let multi_add = |i: u64| Request::MultiAdd {
+            keys: (0..8).map(|j| i * 8 + j).collect(),
+            delta: 1,
+        };
+        let (stats, heap, answers) = run(1024, 16, 1, (0..64).map(|i| (0, multi_add(i))).collect());
+        let (mut busy, mut applied) = (0, 0);
+        for (_, response) in &answers[0] {
+            match response {
+                Response::MultiAdded { applied: a } => applied += u64::from(*a),
+                Response::Busy => busy += 1,
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        assert_eq!((busy, applied), (62, 16), "overload sheds; two writes land");
+        // A shed write applied nothing; an acked write applied exactly once.
+        assert_eq!(heap, applied);
+        assert_eq!(stats.busy, busy);
+    }
+
+    #[test]
+    fn busy_shed_token_retries_as_new() {
+        // Pins the handle_frame ordering contract: `dedup_begin` runs
+        // before admission, which is sound only because the Busy path
+        // abandons the token — a reorder that stops abandoning would leave
+        // shed tokens permanently InFlight and silently swallow every retry.
+        let idem = |token, key| (0, Request::idempotent(token, add(key)));
+        let script = vec![
+            // One key of budget: the first write is still pending when the
+            // second is taken off the inbox, so the second is shed.
+            idem(1, 0),
+            idem(2, 1),
+            // A read flushes the pending write, releasing the budget.
+            (0, Request::Get { key: 0 }),
+            // Retrying the shed token must classify it New — admitted and
+            // applied. Were it still InFlight, the retry would be swallowed
+            // unanswered.
+            idem(2, 1),
+            (0, Request::Get { key: 1 }),
+        ];
+        let (stats, heap, answers) = run(1024, 1, 1, script);
+        let expected = vec![
+            (1, Response::Busy),
+            (0, Response::Added(1)),
+            (2, Response::Value(1)),
+            (3, Response::Added(1)),
+            (4, Response::Value(1)),
+        ];
+        assert_eq!(answers[0], expected);
+        assert_eq!(stats.busy, 1);
+        assert_eq!(
+            stats.duplicates, 0,
+            "the retry of a shed token is a fresh write, not a duplicate"
+        );
+        assert_eq!(heap, 2, "each write applied exactly once");
     }
 }

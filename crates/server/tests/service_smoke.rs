@@ -166,129 +166,6 @@ fn malformed_frames_get_typed_errors() {
 }
 
 #[test]
-fn tiny_admission_budget_sheds_with_busy() {
-    let eng = engine(1 << 12);
-    let mut cfg = ServerConfig::new(1 << 12);
-    cfg.batch = BatchPolicy::grouped();
-    cfg.admission = AdmissionPolicy {
-        base_inflight: 16,
-        min_inflight: 8,
-        slope: 4.0,
-    };
-    let server = start(Arc::clone(&eng), cfg);
-    let mut conn = server.connect();
-
-    // Pipeline far more write cost than the budget admits. Each MultiAdd
-    // costs 8; at most two fit before a flush releases them.
-    let n = 64u64;
-    for i in 0..n {
-        let keys: Vec<u64> = (0..8).map(|j| i * 8 + j).collect();
-        conn.send(Request::MultiAdd { keys, delta: 1 });
-    }
-    let mut busy = 0u64;
-    let mut applied = 0u64;
-    for _ in 0..n {
-        match conn
-            .recv_timeout(TIMEOUT)
-            .expect("every request is answered")
-            .response
-        {
-            Response::MultiAdded { applied: a } => applied += u64::from(a),
-            Response::Busy => busy += 1,
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-    assert!(busy > 0, "overload must shed");
-    assert!(applied > 0, "some writes must land");
-    // A shed write applied nothing; an acked write applied exactly once.
-    assert_eq!(eng.heap_sum(1 << 12), applied);
-    assert_eq!(server.stats().busy, busy);
-    assert_eq!(server.admission().shed_count(), busy);
-    server.shutdown();
-}
-
-#[test]
-fn busy_shed_token_retries_as_new() {
-    // Pins the handle_frame ordering contract: `dedup_begin` runs before
-    // admission, which is sound only because the Busy path abandons the
-    // token — a reorder that stops abandoning would leave shed tokens
-    // permanently InFlight and silently swallow every retry.
-    let eng = engine(1024);
-    let mut cfg = ServerConfig::new(1024);
-    // One word of budget, and a latency budget only reads or shutdown can
-    // reach: the first admitted write parks in the batcher holding the
-    // whole budget, so the second write is shed with Busy.
-    cfg.admission = AdmissionPolicy {
-        base_inflight: 1,
-        min_inflight: 1,
-        slope: 0.0,
-    };
-    cfg.batch = BatchPolicy {
-        max_ops: 1024,
-        max_footprint: 4096,
-        latency_budget: Duration::from_secs(600),
-    };
-    let server = start(Arc::clone(&eng), cfg);
-    let mut conn = server.connect();
-
-    let id1 = conn.send(Request::idempotent(1, Request::Add { key: 0, delta: 1 }));
-    let id2 = conn.send(Request::idempotent(2, Request::Add { key: 1, delta: 1 }));
-    let shed = conn.recv_timeout(TIMEOUT).expect("busy answer");
-    assert_eq!((shed.id, shed.response), (id2, Response::Busy));
-
-    // A read flushes the parked write, releasing the budget.
-    let id3 = conn.send(Request::Get { key: 0 });
-    let first = conn.recv_timeout(TIMEOUT).expect("flushed write ack");
-    assert_eq!((first.id, first.response), (id1, Response::Added(1)));
-    let read = conn.recv_timeout(TIMEOUT).expect("read answer");
-    assert_eq!((read.id, read.response), (id3, Response::Value(1)));
-
-    // Retrying the shed token must classify it New — admitted and applied.
-    // Were it still InFlight, the retry would be swallowed unanswered.
-    let id4 = conn.send(Request::idempotent(2, Request::Add { key: 1, delta: 1 }));
-    let id5 = conn.send(Request::Get { key: 1 });
-    let retried = conn.recv_timeout(TIMEOUT).expect("retried write ack");
-    assert_eq!((retried.id, retried.response), (id4, Response::Added(1)));
-    let read2 = conn.recv_timeout(TIMEOUT).expect("read answer");
-    assert_eq!((read2.id, read2.response), (id5, Response::Value(1)));
-
-    let stats = server.shutdown();
-    assert_eq!(stats.busy, 1);
-    assert_eq!(
-        stats.duplicates, 0,
-        "the retry of a shed token is a fresh write, not a duplicate"
-    );
-    assert_eq!(eng.heap_sum(1024), 2, "each write applied exactly once");
-}
-
-#[test]
-fn shutdown_flushes_pending_batches() {
-    let eng = engine(1024);
-    let mut cfg = ServerConfig::new(1024);
-    // A latency budget far beyond the test: only shutdown can flush.
-    cfg.batch = BatchPolicy {
-        max_ops: 1024,
-        max_footprint: 4096,
-        latency_budget: Duration::from_secs(600),
-    };
-    let server = start(Arc::clone(&eng), cfg);
-    let mut conn = server.connect();
-    for k in 0..10u64 {
-        conn.send(Request::Add { key: k, delta: 1 });
-    }
-    // Nothing can have committed yet (budget is 10 minutes)...
-    server.shutdown();
-    // ...but shutdown drains the batcher before the shards exit.
-    let mut acked = 0;
-    while let Some(frame) = conn.try_recv() {
-        assert!(matches!(frame.response, Response::Added(1)), "{frame:?}");
-        acked += 1;
-    }
-    assert_eq!(acked, 10, "graceful shutdown answers pending writes");
-    assert_eq!(eng.heap_sum(1024), 10);
-}
-
-#[test]
 fn multi_put_is_atomic_across_engine_shards() {
     // The server over a 4-shard tm-shard engine: a MultiPut whose pairs
     // land on different engine shards must publish atomically — concurrent

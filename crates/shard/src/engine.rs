@@ -1,7 +1,7 @@
 //! The sharded engine: per-shard tables and stats, eager single-shard
 //! transactions, and the ordered two-phase cross-shard commit.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
 use tm_ownership::concurrent::{ConcurrentTable, Held};
@@ -38,9 +38,11 @@ pub enum AcquireOrder {
     /// wrong mutant** kept so tests can prove the ordering is
     /// load-bearing: opposing cross-shard transactions acquire in opposite
     /// orders, produce circular waits, and burn the whole acquisition
-    /// budget. To make those cycles materialize deterministically (even on
-    /// one hardware thread), the mutant also yields between its commit
-    /// acquisitions. Never use outside protocol-validation tests.
+    /// budget. To make those cycles materialize deterministically, on one
+    /// hardware thread or many, the mutant also holds its first commit
+    /// grant until another committer holds one too (a bounded wait; see
+    /// `ShardedStm::unordered_rendezvous`). Never use outside
+    /// protocol-validation tests.
     Unordered,
 }
 
@@ -101,6 +103,10 @@ pub struct ShardedStm<T: ConcurrentTable, P: Probe = NoopProbe> {
     ///
     /// [`stats`]: ShardedStm::stats
     cross_extra_commits: AtomicU64,
+    /// [`AcquireOrder::Unordered`] only: commit attempts currently holding
+    /// at least one commit-phase grant. A bare count that publishes no
+    /// other data, so `Relaxed` suffices.
+    unordered_holders: AtomicU32,
     probe: P,
 }
 
@@ -152,6 +158,7 @@ impl<T: ConcurrentTable, P: Probe> ShardedStm<T, P> {
             cross_commits: AtomicU64::new(0),
             cross_aborts: AtomicU64::new(0),
             cross_extra_commits: AtomicU64::new(0),
+            unordered_holders: AtomicU32::new(0),
             probe,
         }
     }
@@ -251,6 +258,23 @@ impl<T: ConcurrentTable, P: Probe> ShardedStm<T, P> {
     /// or validation phase.
     pub fn cross_shard_aborts(&self) -> u64 {
         self.cross_aborts.load(Ordering::Relaxed)
+    }
+
+    /// The [`AcquireOrder::Unordered`] mutant's rendezvous, run by a commit
+    /// attempt right after it takes its first grant: wait (yielding, for at
+    /// most `commit_spins` rounds) until another attempt also holds one.
+    /// Opposing committers then each request the other's first grant while
+    /// it is held, so the circular wait the mutant exists to demonstrate
+    /// forms whatever the scheduler does. The count drops when an attempt
+    /// releases its grants.
+    fn unordered_rendezvous(&self) {
+        self.unordered_holders.fetch_add(1, Ordering::Relaxed);
+        for _ in 0..self.commit_spins {
+            if self.unordered_holders.load(Ordering::Relaxed) >= 2 {
+                return;
+            }
+            std::thread::yield_now();
+        }
     }
 
     #[inline]
@@ -642,6 +666,9 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
     /// Release every commit-phase grant (error paths and epilogue).
     fn release_commit_grants(&mut self) {
         let stm = self.stm;
+        if stm.order == AcquireOrder::Unordered && !self.scratch.cgrants.is_empty() {
+            stm.unordered_holders.fetch_sub(1, Ordering::Relaxed);
+        }
         for &(shard, key, held) in self.scratch.cgrants.iter() {
             stm.shards[shard as usize].table.release(self.id, key, held);
         }
@@ -699,6 +726,7 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
                 match table.acquire(self.id, block, access, held) {
                     AcquireOutcome::Granted => {
                         let after = held.after(access);
+                        let first = self.scratch.cgrants.is_empty();
                         match self
                             .scratch
                             .cgrants
@@ -711,12 +739,8 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
                         if P::ENABLED {
                             stm.probe.on_grant(self.id);
                         }
-                        // The mutant yields between acquisitions so the
-                        // circular waits it exists to demonstrate
-                        // materialize deterministically, even on a single
-                        // hardware thread.
-                        if stm.order == AcquireOrder::Unordered {
-                            std::thread::yield_now();
+                        if first && stm.order == AcquireOrder::Unordered {
+                            stm.unordered_rendezvous();
                         }
                         break;
                     }

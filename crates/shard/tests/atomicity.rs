@@ -152,11 +152,16 @@ fn transfers_conserve_on_unsharded_engines() {
 /// and last shard. Each round the two transactions rendezvous on a
 /// barrier *inside the body* (first cross-mode attempt only), so their
 /// ordered-acquisition commit phases always overlap. Unordered
-/// acquisition then takes the two grants in opposite orders — a circular
-/// wait every round, burning the whole commit budget and surfacing as
-/// conflict-cause commit aborts. Ordered acquisition on the identical
-/// workload produces zero: the loser waits briefly, revalidates, and at
-/// worst retries on a `ValidationFailed`.
+/// acquisition then takes the two grants in opposite orders, and the
+/// mutant's own rendezvous after its first grant makes each committer
+/// request the other's grant while it is held — a circular wait every
+/// round, whatever the scheduler does, burning the whole commit budget and
+/// surfacing as conflict-cause commit aborts. Each round also ends on the
+/// barrier, so no thread's next eager attempt (which takes grants before
+/// it escalates) can meet the other's commit still in flight: conflict
+/// aborts come from commit-phase cycles and nothing else. Ordered
+/// acquisition on the identical workload produces zero: the loser waits
+/// briefly, revalidates, and at worst retries on a `ValidationFailed`.
 fn opposing_transfer_conflict_aborts(order: AcquireOrder) -> (u64, u64) {
     const ROUNDS: u32 = 50;
     let recorder = Arc::new(Recorder::new());
@@ -195,6 +200,7 @@ fn opposing_transfer_conflict_aborts(order: AcquireOrder) -> (u64, u64) {
                         }
                         Ok(())
                     });
+                    barrier.wait();
                 }
             });
         }
