@@ -261,11 +261,11 @@ fn main() {
         .heap_words(HEAP_WORDS)
         .table_entries(TABLE_ENTRIES);
 
-    // The sharded engine at S=4: the 512-block working set sits entirely
+    // The eager engine at S=4: the 512-block working set sits entirely
     // inside shard 0's span (2048 blocks / 4 = 512), so every transaction
     // takes the single-shard fast path — the zero-allocation assertion and
-    // the overhead comparison below measure exactly the routing cost the
-    // ShardMap adds over the unsharded engine.
+    // the comparison below measure what four shard tables cost over one
+    // (`eager-tagless` is the same engine at S=1).
     let sharded = builder.clone().shards(4).build_sharded_tagless();
     let synthetic: Vec<(&str, Outcome)> = vec![
         ("eager-tagless", measure(&builder.build_tagless())),

@@ -36,7 +36,7 @@ use std::marker::PhantomData;
 
 use crate::engine::{ReadOps, TxnOps};
 use crate::heap::WORD_BYTES;
-use crate::stm::Aborted;
+use crate::retry::Aborted;
 use crate::typed::{CapacityError, TRef, TxLayout, TxResult, TxWord};
 
 /// A transactional fixed-cell allocator for `T` values (see module docs).

@@ -63,59 +63,6 @@ impl RetryPolicy {
     }
 }
 
-/// Randomized exponential backoff between transaction retries.
-///
-/// Spin-loop based (no syscalls) with a cap; the jitter source is a
-/// SplitMix64 stream seeded per transaction so threads desynchronize.
-#[derive(Clone, Debug)]
-pub struct Backoff {
-    attempt: u32,
-    rng_state: u64,
-    max_exponent: u32,
-}
-
-impl Backoff {
-    /// Fresh backoff state with the given jitter seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            attempt: 0,
-            rng_state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
-            max_exponent: 16,
-        }
-    }
-
-    /// Number of retries so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // SplitMix64: tiny, seedable, good enough for jitter.
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Record an abort and spin for a randomized, exponentially growing
-    /// interval.
-    pub fn wait(&mut self) {
-        self.attempt += 1;
-        let exp = self.attempt.min(self.max_exponent);
-        let ceiling = 1u64 << exp;
-        let spins = self.next_u64() % ceiling;
-        for _ in 0..spins {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Reset after a successful commit.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,25 +72,5 @@ mod tests {
         assert_eq!(ContentionPolicy::Suicide.max_spins(), 0);
         assert_eq!(ContentionPolicy::Stall { max_spins: 8 }.max_spins(), 8);
         assert_eq!(ContentionPolicy::default(), ContentionPolicy::Suicide);
-    }
-
-    #[test]
-    fn backoff_counts_and_resets() {
-        let mut b = Backoff::new(1);
-        assert_eq!(b.attempts(), 0);
-        b.wait();
-        b.wait();
-        assert_eq!(b.attempts(), 2);
-        b.reset();
-        assert_eq!(b.attempts(), 0);
-    }
-
-    #[test]
-    fn jitter_streams_differ_by_seed() {
-        let mut a = Backoff::new(1);
-        let mut b = Backoff::new(2);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
     }
 }

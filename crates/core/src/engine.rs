@@ -4,13 +4,16 @@
 //! The paper's thesis is that false-conflict scaling is a property of the
 //! *ownership-table organization*, not of any one STM protocol. The API
 //! mirrors that: workloads and data structures are written once against
-//! these traits and run unchanged over the eager engine (any
-//! [`ConcurrentTable`]) and the lazy TL2-style engine — so every workload
-//! can be measured on every organization.
+//! these traits and run unchanged over the two protocols — the one eager
+//! engine ([`ShardedStm`](crate::ShardedStm), whose one-shard face is
+//! [`Stm`]) over any [`ConcurrentTable`], and the lazy TL2-style
+//! [`LazyStm`] — so every workload can be measured on every organization.
+//! Both protocols run their attempts through one retry driver, which owns
+//! the attempt budget, backoff and probe sequence.
 //!
 //! * [`ReadOps`] is the read-only operation surface — what a
 //!   [`TmEngine::run_read`] body sees. [`TxnOps`] extends it with the write
-//!   surface for read-write bodies. [`Txn`] and [`LazyTxn`](crate::LazyTxn)
+//!   surface for read-write bodies. [`Txn`](crate::Txn) and [`LazyTxn`](crate::LazyTxn)
 //!   implement both; the read-only [`ReadTxn`](crate::ReadTxn) and
 //!   [`LazyReadTxn`](crate::LazyReadTxn) implement only [`ReadOps`], so a
 //!   write inside a read-only body is a *compile error*, not a runtime
@@ -62,8 +65,9 @@ use crate::contention::{ContentionPolicy, RetryPolicy};
 use crate::heap::{Heap, WORD_BYTES};
 use crate::lazy::LazyStm;
 use crate::readpath::ReadPathPolicy;
+use crate::retry::{Aborted, RetryLimitExceeded};
 use crate::stats::EngineStats;
-use crate::stm::{Aborted, RetryLimitExceeded, Stm, StmConfig, Txn};
+use crate::stm::{Stm, StmConfig};
 
 /// The read-only operation surface — everything a transaction body may do
 /// without writing.
@@ -102,7 +106,7 @@ pub trait ReadOps {
 /// The full read-write operation surface a transaction body is written
 /// against: [`ReadOps`] plus the write side.
 ///
-/// Implemented by the eager [`Txn`] and the lazy
+/// Implemented by the eager [`Txn`](crate::Txn) and the lazy
 /// [`LazyTxn`](crate::LazyTxn); code generic over `TxnOps` (or taking
 /// `&mut dyn TxnOps` — the required methods and `update_with`/`update_add`
 /// are object-safe; the generic conveniences `update`/`retry` need a sized
@@ -143,8 +147,9 @@ pub trait TxnOps: ReadOps {
 /// A transactional-memory engine the generic machinery (harness drivers,
 /// data structures, benches) can run bodies on.
 ///
-/// Implemented by [`Stm`] over **every** [`ConcurrentTable`] (tagless,
-/// tagged, and wrapped tables like `tm-adaptive`'s resizable one) and by
+/// Implemented by the eager engine — [`ShardedStm`](crate::ShardedStm) and
+/// its one-shard face [`Stm`] — over **every** [`ConcurrentTable`] (tagless,
+/// tagged, and wrapped tables like `tm-adaptive`'s resizable one), and by
 /// [`LazyStm`]. The associated transaction type implements [`TxnOps`], so
 /// one body — written against the trait — runs on every engine.
 pub trait TmEngine: Sync {
@@ -344,90 +349,6 @@ impl<E: TmEngine + Send> TmEngine for std::sync::Arc<E> {
     }
 }
 
-impl<T: ConcurrentTable, P: Probe> TmEngine for Stm<T, P> {
-    type Txn<'e>
-        = Txn<'e, T, P>
-    where
-        Self: 'e;
-
-    type ReadTxn<'e>
-        = crate::ReadTxn<'e, T, P>
-    where
-        Self: 'e;
-
-    fn run_with<'s, R>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut Txn<'s, T, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
-        self.run_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn run_read_with<'s, R>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut crate::ReadTxn<'s, T, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
-        self.run_read_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.config().retry
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        self.stats().into()
-    }
-
-    fn heap(&self) -> &Heap {
-        Stm::heap_ref(self)
-    }
-}
-
-impl<P: Probe> TmEngine for LazyStm<P> {
-    type Txn<'e>
-        = crate::LazyTxn<'e, P>
-    where
-        Self: 'e;
-
-    type ReadTxn<'e>
-        = crate::LazyReadTxn<'e, P>
-    where
-        Self: 'e;
-
-    fn run_with<'s, R>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut crate::LazyTxn<'s, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
-        self.run_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn run_read_with<'s, R>(
-        &'s self,
-        me: ThreadId,
-        policy: RetryPolicy,
-        mut body: impl FnMut(&mut crate::LazyReadTxn<'s, P>) -> Result<R, Aborted>,
-    ) -> Result<R, RetryLimitExceeded> {
-        self.run_read_with_budget(me, policy.budget(), &mut body)
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        LazyStm::configured_retry(self)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        self.stats()
-    }
-
-    fn heap(&self) -> &Heap {
-        LazyStm::heap_ref(self)
-    }
-}
-
 /// Fluent constructor for every engine in the crate — the single entry
 /// point replacing the historical `tagless_stm`/`tagged_stm`/`LazyStm::new`
 /// zoo (those remain as one-line shorthands over this builder).
@@ -605,7 +526,12 @@ impl<P: Probe> StmBuilder<P> {
 
     /// The table geometry this builder currently describes.
     pub fn table_config(&self) -> TableConfig {
-        let mut cfg = TableConfig::new(self.table_entries);
+        self.geometry(self.table_entries)
+    }
+
+    /// This builder's geometry knobs over `entries` first-level entries.
+    fn geometry(&self, entries: usize) -> TableConfig {
+        let mut cfg = TableConfig::new(entries);
         if let Some(bytes) = self.block_bytes {
             cfg = cfg.with_block_bytes(bytes);
         }
@@ -651,17 +577,7 @@ impl<P: Probe> StmBuilder<P> {
             .div_ceil(self.shards)
             .max(1)
             .next_power_of_two();
-        let mut cfg = TableConfig::new(per_shard);
-        if let Some(bytes) = self.block_bytes {
-            cfg = cfg.with_block_bytes(bytes);
-        }
-        if let Some(hash) = self.hash {
-            cfg = cfg.with_hash(hash);
-        }
-        if let Some(on) = self.classify_conflicts {
-            cfg = cfg.with_conflict_classification(on);
-        }
-        cfg
+        self.geometry(per_shard)
     }
 }
 

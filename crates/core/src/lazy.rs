@@ -22,64 +22,39 @@
 //! [`LazyStm::stats`] separates out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use tm_ownership::versioned::{VersionedStats, VersionedTable};
-use tm_ownership::{fingerprint_of, BlockMapper, TableConfig, ThreadId, FP_NONE, FP_SATURATED};
+use tm_ownership::{classify_fp, fingerprint_of, BlockMapper, TableConfig, ThreadId};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
 
-use crate::contention::{Backoff, RetryPolicy};
-use crate::engine::{ReadOps, TxnOps};
+use crate::contention::RetryPolicy;
+use crate::engine::{ReadOps, TmEngine, TxnOps};
 use crate::heap::Heap;
 use crate::readpath::ReadPathPolicy;
+use crate::retry::{self, Abandon, Aborted, Attempts, RetryLimitExceeded};
 use crate::scratch::ScratchGuard;
-use crate::stats::{EngineStats, Striped};
-use crate::stm::{elapsed_ns, Aborted, RetryLimitExceeded};
+use crate::sharded::cause_of_class;
+use crate::stats::{EngineStats, LazyAbort, StmStats};
 
-/// Classify a conflict by comparing the fingerprint found in the entry word
-/// (the last/current writer's block) against the fingerprint of the block
-/// this transaction accessed there. Unknown or saturated fingerprints on
-/// either side prove nothing.
+/// Attribute a conflict by comparing the fingerprint found in an entry word
+/// (the block of the writer that locked or last bumped it) against the
+/// fingerprint of the block this transaction accessed there.
 #[inline]
-fn classify_fp(theirs: u32, mine: u32) -> AbortCause {
-    if theirs == FP_NONE || theirs == FP_SATURATED || mine == FP_NONE || mine == FP_SATURATED {
-        AbortCause::UnknownConflict
-    } else if theirs == mine {
-        AbortCause::TrueConflict
-    } else {
-        AbortCause::FalseConflict
-    }
+fn cause_of_fp(theirs: u32, mine: u32) -> AbortCause {
+    cause_of_class(classify_fp(theirs, mine))
 }
-
-/// One stripe of the lazy engine's counters, striped through the shared
-/// [`Striped`] mechanism (see [`crate::StmStats`] for the aggregation
-/// contract; threads pick stripes by id, snapshots sum them, quiesced
-/// totals are exact).
-#[derive(Debug, Default)]
-struct LazyCells {
-    commits: AtomicU64,
-    read_aborts: AtomicU64,
-    lock_aborts: AtomicU64,
-    validation_aborts: AtomicU64,
-    committed_write_blocks: AtomicU64,
-    committed_grant_blocks: AtomicU64,
-    read_only_commits: AtomicU64,
-    read_validation_retries: AtomicU64,
-}
-
-type Counters = Striped<LazyCells>;
 
 /// A TL2-style software transactional memory (see the [module docs](self)).
 ///
-/// Implements [`TmEngine`](crate::TmEngine), which is how transactions are
-/// run; build one with [`StmBuilder::build_lazy`](crate::StmBuilder::build_lazy)
+/// Implements [`TmEngine`], which is how transactions are run; build one
+/// with [`StmBuilder::build_lazy`](crate::StmBuilder::build_lazy)
 /// (or the [`LazyStm::new`] shorthand).
 #[derive(Debug)]
 pub struct LazyStm<P: Probe = NoopProbe> {
     heap: Heap,
     table: VersionedTable,
     clock: AtomicU64,
-    counters: Counters,
+    counters: StmStats,
     retry: RetryPolicy,
     read_path: ReadPathPolicy,
     probe: P,
@@ -105,7 +80,7 @@ impl<P: Probe> LazyStm<P> {
             heap: Heap::new(heap_words),
             table: VersionedTable::new(cfg),
             clock: AtomicU64::new(1),
-            counters: Counters::default(),
+            counters: StmStats::default(),
             retry: RetryPolicy::default(),
             read_path: ReadPathPolicy::default(),
             probe,
@@ -117,8 +92,7 @@ impl<P: Probe> LazyStm<P> {
         &self.probe
     }
 
-    /// Set the default retry policy (what
-    /// [`TmEngine::run_configured`](crate::TmEngine::run_configured)
+    /// Set the default retry policy (what [`TmEngine::run_configured`]
     /// applies).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -132,17 +106,6 @@ impl<P: Probe> LazyStm<P> {
         self
     }
 
-    /// The shared heap (the public accessor is
-    /// [`TmEngine::heap`](crate::TmEngine::heap)).
-    pub(crate) fn heap_ref(&self) -> &Heap {
-        &self.heap
-    }
-
-    /// The configured retry policy.
-    pub(crate) fn configured_retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The versioned table (for stats inspection).
     pub fn table(&self) -> &VersionedTable {
         &self.table
@@ -152,160 +115,106 @@ impl<P: Probe> LazyStm<P> {
     /// `aborts` is the total, with the lazy protocol's read/lock/validation
     /// breakdown in the dedicated fields.
     pub fn stats(&self) -> EngineStats {
-        let mut commits = 0u64;
-        let mut read_aborts = 0u64;
-        let mut lock_aborts = 0u64;
-        let mut validation_aborts = 0u64;
-        let mut committed_write_blocks = 0u64;
-        let mut committed_grant_blocks = 0u64;
-        let mut read_only_commits = 0u64;
-        let mut read_validation_retries = 0u64;
-        for stripe in self.counters.iter() {
-            commits += stripe.commits.load(Ordering::Relaxed);
-            read_aborts += stripe.read_aborts.load(Ordering::Relaxed);
-            lock_aborts += stripe.lock_aborts.load(Ordering::Relaxed);
-            validation_aborts += stripe.validation_aborts.load(Ordering::Relaxed);
-            committed_write_blocks += stripe.committed_write_blocks.load(Ordering::Relaxed);
-            committed_grant_blocks += stripe.committed_grant_blocks.load(Ordering::Relaxed);
-            read_only_commits += stripe.read_only_commits.load(Ordering::Relaxed);
-            read_validation_retries += stripe.read_validation_retries.load(Ordering::Relaxed);
-        }
-        EngineStats {
-            commits,
-            aborts: read_aborts + lock_aborts + validation_aborts,
-            read_aborts,
-            lock_aborts,
-            validation_aborts,
-            stall_retries: 0,
-            committed_write_blocks,
-            committed_grant_blocks,
-            read_only_commits,
-            read_validation_retries,
-        }
+        self.counters.snapshot()
     }
 
     /// Table-level statistics (samples, locks, validations).
     pub fn table_stats(&self) -> VersionedStats {
         self.table.stats()
     }
+}
 
-    /// The retry loop behind
-    /// [`TmEngine::run_with`](crate::TmEngine::run_with).
-    pub(crate) fn run_with_budget<'s, R>(
+impl<P: Probe> TmEngine for LazyStm<P> {
+    type Txn<'e>
+        = LazyTxn<'e, P>
+    where
+        Self: 'e;
+
+    type ReadTxn<'e>
+        = LazyReadTxn<'e, P>
+    where
+        Self: 'e;
+
+    fn run_with<'s, R>(
         &'s self,
         me: ThreadId,
-        max_attempts: u32,
-        body: &mut dyn FnMut(&mut LazyTxn<'s, P>) -> Result<R, Aborted>,
+        policy: RetryPolicy,
+        mut body: impl FnMut(&mut LazyTxn<'s, P>) -> Result<R, Aborted>,
     ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        // Clock reads are gated on the compile-time probe switch: with
-        // `NoopProbe` the timestamps are `None` and never taken.
-        let txn_start = P::ENABLED.then(Instant::now);
-        if P::ENABLED {
-            self.probe.on_txn_begin(me);
-        }
-        loop {
-            let attempt_start = P::ENABLED.then(Instant::now);
-            let mut txn = LazyTxn::begin(self, me);
-            let cause = match body(&mut txn) {
-                Ok(r) => match txn.commit() {
-                    Ok(()) => {
-                        let stripe = self.counters.stripe(me);
-                        stripe.commits.fetch_add(1, Ordering::Relaxed);
-                        if P::ENABLED {
-                            self.probe.on_commit(
-                                me,
-                                elapsed_ns(attempt_start),
-                                elapsed_ns(txn_start),
-                                u64::from(attempts) + 1,
-                            );
-                        }
-                        return Ok(r);
-                    }
-                    // The commit site attributed the cause itself.
-                    Err(cause) => cause,
-                },
-                Err(Aborted) => {
-                    let stripe = self.counters.stripe(me);
-                    stripe.read_aborts.fetch_add(1, Ordering::Relaxed);
-                    txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry)
-                }
-            };
-            if P::ENABLED {
-                self.probe.on_abort(me, cause, elapsed_ns(attempt_start));
-            }
-            attempts += 1;
-            if attempts >= max_attempts {
-                return Err(RetryLimitExceeded { attempts });
-            }
-            backoff.wait();
-        }
+        retry::run(self, me, policy.budget(), &mut body)
     }
 
-    /// The retry loop behind
-    /// [`TmEngine::run_read_with`](crate::TmEngine::run_read_with): the TL2
-    /// read-only fast path.
-    ///
-    /// Each attempt samples the global clock into a fresh `rv` and serves
-    /// every read by version sampling alone — no read set, no scratch
-    /// checkout, no commit-time locking, nothing a writer ever waits on. A
-    /// read whose entry is locked or newer than `rv` aborts the attempt
-    /// (after a bounded spin on a transient lock) and retries here with a
-    /// fresh snapshot.
-    pub(crate) fn run_read_with_budget<'s, R>(
+    fn run_read_with<'s, R>(
         &'s self,
         me: ThreadId,
-        max_attempts: u32,
-        body: &mut dyn FnMut(&mut LazyReadTxn<'s, P>) -> Result<R, Aborted>,
+        policy: RetryPolicy,
+        mut body: impl FnMut(&mut LazyReadTxn<'s, P>) -> Result<R, Aborted>,
     ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        let txn_start = P::ENABLED.then(Instant::now);
-        loop {
-            if P::ENABLED {
-                self.probe.on_read_begin(me);
-            }
-            let mut txn = LazyReadTxn {
-                stm: self,
-                rv: self.clock.load(Ordering::Acquire),
-                mapper: self.table.config().mapper(),
-                max_spins: self.read_path.max_spins,
-                reads: 0,
-            };
-            match body(&mut txn) {
-                Ok(r) => {
-                    let stripe = self.counters.stripe(me);
-                    stripe.read_only_commits.fetch_add(1, Ordering::Relaxed);
-                    if P::ENABLED {
-                        self.probe.on_read_commit(me, elapsed_ns(txn_start));
-                    }
-                    return Ok(r);
-                }
-                Err(Aborted) => {
-                    let stripe = self.counters.stripe(me);
-                    stripe
-                        .read_validation_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    if P::ENABLED {
-                        self.probe.on_read_validation_retry(me);
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
-                }
-            }
-        }
+        retry::run_read(self, me, policy.budget(), &mut body)
+    }
+
+    fn retry_policy(&self) -> RetryPolicy {
+        self.retry
+    }
+
+    fn engine_stats(&self) -> EngineStats {
+        self.stats()
+    }
+
+    fn heap(&self) -> &Heap {
+        &self.heap
+    }
+}
+
+impl<P: Probe> Attempts for LazyStm<P> {
+    type P = P;
+
+    fn probe(&self) -> &P {
+        &self.probe
+    }
+
+    fn begin(&self, me: ThreadId, _restarted: bool) -> LazyTxn<'_, P> {
+        LazyTxn::begin(self, me)
+    }
+
+    fn commit<'s>(&'s self, txn: LazyTxn<'s, P>) -> Result<(), Abandon> {
+        let me = txn.id;
+        // A failed commit counted its own lock/validation abort and
+        // attributed the cause at the failing site.
+        txn.commit().map_err(Abandon::Abort)?;
+        self.counters.on_commit(me);
+        Ok(())
+    }
+
+    fn abort<'s>(&'s self, mut txn: LazyTxn<'s, P>) -> Abandon {
+        self.counters.on_lazy_abort(txn.id, LazyAbort::Read);
+        Abandon::Abort(txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry))
+    }
+
+    /// The TL2 read-only fast path: a fresh `rv` per attempt, every read
+    /// served by version sampling alone — no read set, no scratch checkout,
+    /// no commit-time locking, nothing a writer ever waits on. A read whose
+    /// entry is locked or newer than `rv` aborts the attempt (after a
+    /// bounded spin on a transient lock) and the driver retries with a
+    /// fresh snapshot.
+    fn begin_read(&self, _me: ThreadId) -> Option<LazyReadTxn<'_, P>> {
+        Some(LazyReadTxn {
+            stm: self,
+            rv: self.clock.load(Ordering::Acquire),
+            mapper: self.table.config().mapper(),
+            max_spins: self.read_path.max_spins,
+            reads: 0,
+        })
+    }
+
+    fn read_stats(&self, _me: ThreadId) -> &StmStats {
+        &self.counters
     }
 }
 
 /// An in-flight lazy transaction: invisible read set plus write buffer.
 ///
-/// Like the eager [`crate::Txn`], all per-attempt structures — read set,
+/// Like the eager [`Txn`](crate::Txn), all per-attempt structures — read set,
 /// write buffer, and the commit-time lock buffers — live in a recycled
 /// [`TxnScratch`](crate::scratch::TxnScratch), and the block mapper is
 /// cached at begin, so steady-state attempts allocate nothing.
@@ -319,7 +228,7 @@ pub struct LazyTxn<'s, P: Probe = NoopProbe> {
     reads: u64,
     writes: u64,
     /// Cause of the abort that ended this attempt (telemetry only; set at
-    /// the failing read, consumed by the retry loop).
+    /// the failing read, consumed by `Attempts::abort`).
     abort_cause: Option<AbortCause>,
 }
 
@@ -347,69 +256,33 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
         self.scratch.wbuf.len()
     }
 
-    fn read_validated(&mut self, addr: u64) -> Result<u64, Aborted> {
-        self.reads += 1;
-        if let Some(v) = self.scratch.wbuf.get(addr) {
-            return Ok(v);
-        }
-        let block = self.mapper.block_of(addr);
-        let my_fp = fingerprint_of(block);
-        let entry = self.stm.table.entry_of(block);
-        let pre = self.stm.table.sample(entry);
-        if pre.locked || pre.version > self.rv {
-            // The entry word names the block of the writer that locked or
-            // last bumped it — compare fingerprints to attribute the abort.
-            if P::ENABLED {
-                self.abort_cause = Some(classify_fp(pre.fp, my_fp));
-            }
-            return Err(Aborted);
-        }
-        let value = self.stm.heap.load(addr);
-        // Re-check: if the stamp moved during the read, the value may be torn.
-        let post = self.stm.table.sample(entry);
-        if post.locked || post.version != pre.version {
-            if P::ENABLED {
-                self.abort_cause = Some(classify_fp(post.fp, my_fp));
-            }
-            return Err(Aborted);
-        }
-        // Consistency across entries: remember the first-observed version
-        // (and the block fingerprint, for commit-time attribution).
-        match self.scratch.read_set.get(entry) {
-            Some((v, _)) if v != pre.version => {
-                if P::ENABLED {
-                    self.abort_cause = Some(classify_fp(pre.fp, my_fp));
-                }
-                return Err(Aborted);
-            }
-            Some(_) => {}
-            None => {
-                self.scratch.read_set.insert(entry, (pre.version, my_fp));
-            }
-        }
-        Ok(value)
-    }
-
     /// On failure, returns the attributed abort cause (the counters are
-    /// updated here; the retry loop forwards the cause to the probe).
+    /// updated here; the retry driver forwards the cause to the probe).
+    ///
+    /// Every failing site classifies the stamp it actually observed — never
+    /// a re-sample, which an aborting locker's `unlock_restore_fp` may
+    /// already have rewritten (possibly with this thread's own earlier
+    /// fingerprint, which would read as a true conflict).
     fn commit(mut self) -> Result<(), AbortCause> {
         let stm = self.stm;
+        let me = self.id;
         let scratch = &mut *self.scratch;
         if scratch.wbuf.is_empty() {
             // Read-only transactions commit without locking: every read was
             // consistent at `rv`.
-            let stripe = stm.counters.stripe(self.id);
-            stripe
-                .committed_grant_blocks
-                .fetch_add(scratch.read_set.len() as u64, Ordering::Relaxed);
+            stm.counters
+                .on_commit_footprint(me, 0, scratch.read_set.len() as u64);
             return Ok(());
         }
 
         // Lock the write set in ascending entry order (no deadlock), CASing
         // on the currently-sampled version and installing the written
         // block's fingerprint for concurrent aborters to classify against.
-        // The sort/dedup buffer and the locked list are retained scratch —
-        // this path allocates nothing once warm.
+        // Distinct blocks aliasing into one entry keep one record naming
+        // the *first* block — the eager tagless classifier's policy: exact
+        // on data-disjoint workloads, advisory elsewhere. The sort/dedup
+        // buffer and the locked list are retained scratch — this path
+        // allocates nothing once warm.
         scratch.entry_buf.clear();
         for (block, _) in scratch.write_blocks.iter() {
             scratch
@@ -417,38 +290,29 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
                 .push((stm.table.entry_of(block), fingerprint_of(block)));
         }
         scratch.entry_buf.sort_unstable();
-        scratch.entry_buf.dedup();
-        // Distinct blocks aliasing into one entry: keep one record, with a
-        // saturated fingerprint (the entry covers more than one block).
-        let mut w = 0;
-        for i in 0..scratch.entry_buf.len() {
-            if w > 0 && scratch.entry_buf[w - 1].0 == scratch.entry_buf[i].0 {
-                scratch.entry_buf[w - 1].1 = FP_SATURATED;
-            } else {
-                scratch.entry_buf[w] = scratch.entry_buf[i];
-                w += 1;
-            }
-        }
-        scratch.entry_buf.truncate(w);
+        scratch.entry_buf.dedup_by_key(|&mut (entry, _)| entry);
 
         scratch.locked_buf.clear();
         for i in 0..scratch.entry_buf.len() {
             let (entry, fp) = scratch.entry_buf[i];
             let stamp = stm.table.sample(entry);
-            let ok = !stamp.locked && stm.table.try_lock_fp(entry, stamp.version, fp);
-            if !ok {
+            let locked = if stamp.locked {
+                Err(stamp)
+            } else {
+                stm.table.try_lock_fp(entry, stamp.version, fp)
+            };
+            if let Err(seen) = locked {
                 // Whoever beat us (a live locker or a completed bumper)
-                // left its block fingerprint in the word.
+                // left its block fingerprint in the word we saw.
                 let cause = if P::ENABLED {
-                    classify_fp(stm.table.sample(entry).fp, fp)
+                    cause_of_fp(seen.fp, fp)
                 } else {
                     AbortCause::UnknownConflict
                 };
                 for &(e, v, pfp) in &scratch.locked_buf {
                     stm.table.unlock_restore_fp(e, v, pfp);
                 }
-                let stripe = stm.counters.stripe(self.id);
-                stripe.lock_aborts.fetch_add(1, Ordering::Relaxed);
+                stm.counters.on_lazy_abort(me, LazyAbort::Lock);
                 return Err(cause);
             }
             scratch.locked_buf.push((entry, stamp.version, stamp.fp));
@@ -458,38 +322,31 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
 
         // Validate the read set (entries we locked ourselves pass).
         for (entry, (version, my_fp)) in scratch.read_set.iter() {
-            let mine = scratch.locked_buf.iter().find(|&&(e, _, _)| e == entry);
             // If we locked it ourselves, its pre-lock version must match
             // what we read; `validate` sees the locked state, so check the
-            // recorded pre-lock version directly in that case.
-            let ok = match mine {
-                Some(&(_, v, _)) => v == version,
-                None => stm.table.validate(entry, version, false),
+            // recorded pre-lock version directly in that case. The live
+            // word then holds OUR fingerprint — the invalidator's is the
+            // one sampled just before locking, preserved in `locked_buf`.
+            let valid = match scratch.locked_buf.iter().find(|&&(e, _, _)| e == entry) {
+                Some(&(_, v, pre_lock_fp)) if v != version => Err(pre_lock_fp),
+                Some(_) => Ok(()),
+                None => stm
+                    .table
+                    .validate(entry, version, false)
+                    .map_err(|seen| seen.fp),
             };
-            if !ok {
+            if let Err(their_fp) = valid {
                 // A provably-aliasing invalidator is a false conflict; a
                 // provably-same-block one a true conflict; otherwise the
-                // generic validation failure. For entries we locked
-                // ourselves the live word holds OUR fingerprint — the
-                // invalidator's is the one sampled just before locking,
-                // preserved in `locked_buf`.
-                let cause = if P::ENABLED {
-                    let their_fp = match mine {
-                        Some(&(_, _, pre_lock_fp)) => pre_lock_fp,
-                        None => stm.table.sample(entry).fp,
-                    };
-                    match classify_fp(their_fp, my_fp) {
-                        AbortCause::UnknownConflict => AbortCause::ValidationFailed,
-                        c => c,
-                    }
-                } else {
-                    AbortCause::ValidationFailed
+                // generic validation failure.
+                let cause = match cause_of_fp(their_fp, my_fp) {
+                    c @ (AbortCause::FalseConflict | AbortCause::TrueConflict) if P::ENABLED => c,
+                    _ => AbortCause::ValidationFailed,
                 };
                 for &(e, v, pfp) in &scratch.locked_buf {
                     stm.table.unlock_restore_fp(e, v, pfp);
                 }
-                let stripe = stm.counters.stripe(self.id);
-                stripe.validation_aborts.fetch_add(1, Ordering::Relaxed);
+                stm.counters.on_lazy_abort(me, LazyAbort::Validation);
                 return Err(cause);
             }
         }
@@ -505,13 +362,10 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
         // Footprint observation (the model's W and (1+α)·W) for the
         // adaptive controller and the harness's per-cell means.
         let write_blocks = scratch.write_blocks.len() as u64;
-        let stripe = stm.counters.stripe(self.id);
-        stripe
-            .committed_write_blocks
-            .fetch_add(write_blocks, Ordering::Relaxed);
-        stripe.committed_grant_blocks.fetch_add(
+        stm.counters.on_commit_footprint(
+            me,
+            write_blocks,
             write_blocks + scratch.read_set.len() as u64,
-            Ordering::Relaxed,
         );
         Ok(())
     }
@@ -521,7 +375,46 @@ impl<'s, P: Probe> LazyTxn<'s, P> {
 /// snapshot clock (invisible readers).
 impl<P: Probe> ReadOps for LazyTxn<'_, P> {
     fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
-        self.read_validated(addr)
+        self.reads += 1;
+        if let Some(v) = self.scratch.wbuf.get(addr) {
+            return Ok(v);
+        }
+        let block = self.mapper.block_of(addr);
+        let my_fp = fingerprint_of(block);
+        let entry = self.stm.table.entry_of(block);
+        let pre = self.stm.table.sample(entry);
+        if pre.locked || pre.version > self.rv {
+            // The entry word names the block of the writer that locked or
+            // last bumped it — compare fingerprints to attribute the abort.
+            if P::ENABLED {
+                self.abort_cause = Some(cause_of_fp(pre.fp, my_fp));
+            }
+            return Err(Aborted);
+        }
+        let value = self.stm.heap.load(addr);
+        // Re-check: if the stamp moved during the read, the value may be torn.
+        let post = self.stm.table.sample(entry);
+        if post.locked || post.version != pre.version {
+            if P::ENABLED {
+                self.abort_cause = Some(cause_of_fp(post.fp, my_fp));
+            }
+            return Err(Aborted);
+        }
+        // Consistency across entries: remember the first-observed version
+        // (and the block fingerprint, for commit-time attribution).
+        match self.scratch.read_set.get(entry) {
+            Some((v, _)) if v != pre.version => {
+                if P::ENABLED {
+                    self.abort_cause = Some(cause_of_fp(pre.fp, my_fp));
+                }
+                return Err(Aborted);
+            }
+            Some(_) => {}
+            None => {
+                self.scratch.read_set.insert(entry, (pre.version, my_fp));
+            }
+        }
+        Ok(value)
     }
 
     fn read_count(&self) -> u64 {
@@ -738,6 +631,40 @@ mod tests {
         assert_eq!(attempt, 2, "first attempt must abort, second succeed");
         assert!(r.is_ok());
         assert!(stm.stats().read_aborts >= 1);
+    }
+
+    #[test]
+    fn aliasing_multi_block_commit_attributes_false_conflict() {
+        use std::sync::Arc;
+        use tm_ownership::HashKind;
+        use tm_telemetry::Recorder;
+        // 2-entry mask table: blocks 0, 2 and 4 all share entry 0. A reader
+        // of block 0 is invalidated by a committer that writes blocks 2 and
+        // 4 — two aliasing blocks in one entry. The data is disjoint, so
+        // the abort must be attributed to a false conflict, not left
+        // unknown because the entry covered more than one written block.
+        let recorder = Arc::new(Recorder::new());
+        let stm = LazyStm::with_config_probed(
+            256,
+            TableConfig::new(2).with_hash(HashKind::Mask),
+            Arc::clone(&recorder),
+        );
+        let mut attempt = 0;
+        stm.run(0, |txn| {
+            attempt += 1;
+            txn.read(0)?; // block 0 → entry 0
+            if attempt == 1 {
+                stm.run(1, |w| {
+                    w.write(128, 1)?; // block 2 → entry 0
+                    w.write(256, 2) // block 4 → entry 0
+                });
+            }
+            txn.read(8) // block 0 again: entry 0 is now newer than rv
+        });
+        assert_eq!(attempt, 2);
+        let snap = recorder.snapshot();
+        assert_eq!(snap.cause(AbortCause::FalseConflict), 1);
+        assert_eq!(snap.cause(AbortCause::UnknownConflict), 0);
     }
 
     #[test]

@@ -18,23 +18,31 @@
 //!   [`EngineStats`] snapshot (`since()`, `abort_ratio()`) that makes
 //!   cross-engine measurements commensurable.
 //!
-//! Three engine families implement them:
+//! Two protocols implement them, and the ownership table is the only
+//! thing that varies within each:
 //!
-//! * **Eager, tagless** ([`StmBuilder::build_tagless`]) — eager ownership
-//!   acquisition over the tagless table (paper Figure 1) most published
-//!   word-based STMs use. Cheap per-access metadata, but transactions
-//!   touching *different* data abort each other whenever their blocks alias
-//!   in the table: the **false conflicts** whose birthday-paradox scaling
-//!   is the paper's subject.
-//! * **Eager, tagged** ([`StmBuilder::build_tagged`]) — the tagged, chained
-//!   table (paper Figure 7) the paper advocates: records carry address
-//!   tags, so only genuine data conflicts abort anyone. [`Stm`] is generic
-//!   over [`ConcurrentTable`], so wrapped organizations (e.g.
-//!   `tm-adaptive`'s online-resizable table) slot in the same way.
+//! * **Eager** — one engine, [`ShardedStm`] (module [`sharded`]): eager
+//!   ownership acquisition, buffered writes, bounded stall then
+//!   abort-and-retry. [`Stm`] is its one-shard face, built by
+//!   [`StmBuilder::build_tagless`] over the tagless table (paper Figure 1)
+//!   most published word-based STMs use — cheap per-access metadata, but
+//!   transactions touching *different* data abort each other whenever
+//!   their blocks alias: the **false conflicts** whose birthday-paradox
+//!   scaling is the paper's subject — or by [`StmBuilder::build_tagged`]
+//!   over the tagged, chained table (paper Figure 7) the paper advocates,
+//!   where only genuine data conflicts abort anyone. It is generic over
+//!   [`ConcurrentTable`], so wrapped organizations (e.g. `tm-adaptive`'s
+//!   online-resizable table) slot in the same way, and `tm-shard` builds
+//!   it at `S > 1` shards.
 //! * **Lazy TL2-style** ([`StmBuilder::build_lazy`]) — [`LazyStm`], an
 //!   invisible-reader, commit-time-locking engine over the versioned
 //!   tagless table, demonstrating that the false-conflict law survives a
 //!   complete protocol change.
+//!
+//! Both run every attempt through one retry driver, which owns the attempt
+//! budget, randomized exponential backoff and the telemetry probe
+//! sequence; an engine supplies only how an attempt begins, commits and
+//! aborts.
 //!
 //! Above the word-granular traits sits the **typed object layer** (the
 //! [`typed`] module): [`TxWord`]/[`TxLayout`] codecs map values onto
@@ -44,10 +52,10 @@
 //! transactions (aborts roll allocations back). User code — including all
 //! of `tm-structs` — never touches a raw address.
 //!
-//! The eager engines add abort-and-retry with randomized exponential
-//! backoff (optionally bounded stalling, [`ContentionPolicy::Stall`]) and
-//! optional **strong isolation** ([`Stm::strong_read`]/[`Stm::strong_write`])
-//! where even non-transactional accesses consult the table (paper §6).
+//! The eager engine adds optionally bounded stalling
+//! ([`ContentionPolicy::Stall`]) and optional **strong isolation**
+//! ([`Stm::strong_read`]/[`Stm::strong_write`]) where even
+//! non-transactional accesses consult the table (paper §6).
 //!
 //! # One body, every engine
 //!
@@ -86,23 +94,29 @@ mod contention;
 mod engine;
 mod heap;
 pub mod lazy;
+mod map;
 pub mod readpath;
 mod region;
+mod retry;
 pub mod scratch;
+pub mod sharded;
 mod stats;
 mod stm;
 pub mod typed;
 
 pub use alloc::TxAlloc;
-pub use contention::{Backoff, ContentionPolicy, RetryPolicy};
+pub use contention::{ContentionPolicy, RetryPolicy};
 pub use engine::{ReadOps, StmBuilder, TmEngine, TxnOps};
 pub use heap::{Heap, WORD_BYTES};
 pub use lazy::{LazyReadTxn, LazyStm, LazyTxn};
-pub use readpath::{PublishGate, ReadPathPolicy};
+pub use map::ShardMap;
+pub use readpath::ReadPathPolicy;
 pub use region::Region;
+pub use retry::{Aborted, RetryLimitExceeded};
 pub use scratch::{SmallKey, SmallMap, TxnScratch};
-pub use stats::{EngineStats, StmStats, StmStatsSnapshot};
-pub use stm::{tagged_stm, tagless_stm, Aborted, ReadTxn, RetryLimitExceeded, Stm, StmConfig, Txn};
+pub use sharded::{AcquireOrder, ReadTxn, ShardedStm, Txn, DEFAULT_COMMIT_SPINS};
+pub use stats::EngineStats;
+pub use stm::{tagged_stm, tagless_stm, Stm, StmConfig};
 pub use typed::{CapacityError, TRef, TxLayout, TxResult, TxWord};
 
 // Re-export the table types users need to build custom configurations.

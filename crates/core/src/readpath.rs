@@ -1,4 +1,4 @@
-//! The wait-free read-only path: a publication gate for the eager engines.
+//! The wait-free read-only path: a publication gate for the eager engine.
 //!
 //! Eager transactions buffer writes privately and publish them to the heap
 //! only inside commit, after every ownership grant is held. A read-only
@@ -48,7 +48,7 @@ use crate::stats::Padded;
 
 /// Tuning for the read-only path, set via `StmBuilder::read_path`.
 ///
-/// Eager engines spin at `run_read` begin while a writer is mid-publication;
+/// The eager engine spins at `run_read` begin while a writer is mid-publication;
 /// the lazy engine spins per read while a commit-time lock is held. Once
 /// the budget is spent the attempt aborts and re-enters through the
 /// engine's normal retry/backoff policy, so a stalled writer cannot wedge a
@@ -84,18 +84,11 @@ struct GateShard {
     egress: AtomicU64,
 }
 
-/// The sharded seqlock described in the module docs.
-///
-/// Public because engine crates outside `tm-stm` (the sharded engine in
-/// `tm-shard`) implement the same publication protocol: writers bracket
-/// their buffered heap stores with [`publish_begin`](PublishGate::publish_begin)/
-/// [`publish_end`](PublishGate::publish_end), and the table-free read path
-/// validates with [`reader_epoch`](PublishGate::reader_epoch)/
-/// [`still_at`](PublishGate::still_at). One gate instance covers one heap:
-/// a multi-shard commit publishing under a single bracket is atomic to
-/// every reader of that heap.
+/// The sharded seqlock described in the module docs. One gate covers one
+/// heap: a multi-shard commit publishing under a single bracket is atomic
+/// to every reader of that heap.
 #[derive(Debug)]
-pub struct PublishGate {
+pub(crate) struct PublishGate {
     shards: Box<[Padded<GateShard>]>,
 }
 
@@ -118,14 +111,14 @@ impl PublishGate {
     /// the heap stores in between. Wait-free: one uncontended-by-readers
     /// RMW plus a fence.
     #[inline]
-    pub fn publish_begin(&self, me: u32) {
+    pub(crate) fn publish_begin(&self, me: u32) {
         self.shard(me).ingress.fetch_add(1, Ordering::Relaxed);
         fence(Ordering::Release);
     }
 
     /// Writer epilogue: the publication is complete.
     #[inline]
-    pub fn publish_end(&self, me: u32) {
+    pub(crate) fn publish_end(&self, me: u32) {
         self.shard(me).egress.fetch_add(1, Ordering::Release);
     }
 
@@ -133,7 +126,7 @@ impl PublishGate {
     /// when one is (caller spins or aborts). Egress is summed first — see
     /// the module docs for why that order is load-bearing.
     #[inline]
-    pub fn reader_epoch(&self) -> Option<u64> {
+    pub(crate) fn reader_epoch(&self) -> Option<u64> {
         let mut egress = 0u64;
         for shard in self.shards.iter() {
             egress += shard.0.egress.load(Ordering::Acquire);
@@ -149,7 +142,7 @@ impl PublishGate {
     /// epoch was taken, i.e. every load so far came from one quiescent
     /// snapshot.
     #[inline]
-    pub fn still_at(&self, epoch: u64) -> bool {
+    pub(crate) fn still_at(&self, epoch: u64) -> bool {
         fence(Ordering::Acquire);
         let mut ingress = 0u64;
         for shard in self.shards.iter() {

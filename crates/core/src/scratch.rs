@@ -1,8 +1,10 @@
 //! Recycled per-thread transaction scratch: the allocation-free hot path.
 //!
 //! Every transaction attempt needs the same small, hot metadata — the
-//! ownership log, the speculative write buffer, the written-block set (eager
-//! engine), the read validation set and commit lock buffers (lazy engine).
+//! ownership log, the speculative write buffer and the written-block set
+//! (eager engine), the read-value log and ordered commit buffers (the eager
+//! engine's cross-shard mode), the read validation set and commit lock
+//! buffers (lazy engine).
 //! Allocating them fresh per attempt (the pre-optimization design: three
 //! SipHash `HashMap`s per attempt) puts the allocator and the hash function
 //! on the paper's *per-access* critical path, drowning exactly the
@@ -36,17 +38,28 @@ pub use tm_ownership::smallmap::{FastHashState, SmallKey, SmallMap, INLINE_CAP};
 /// instead (bounds memory if something checks out deep nests once).
 const MAX_POOLED: usize = 8;
 
-/// Every per-attempt data structure a transaction (eager or lazy) needs,
-/// allocated at most once per thread and recycled across attempts and
-/// transactions.
+/// Every per-attempt data structure a transaction (eager in either mode, or
+/// lazy) needs, allocated at most once per thread and recycled across
+/// attempts and transactions.
 #[derive(Debug, Default)]
 pub struct TxnScratch {
-    /// Eager engine: grant key → held level (the ownership log).
+    /// Eager engine: home-shard grant key → held level (the ownership log).
     pub(crate) log: SmallMap<u64, Held>,
     /// Both engines: speculative write buffer, word address → value.
     pub(crate) wbuf: SmallMap<u64, u64>,
     /// Both engines: distinct written blocks (the model's observed `W`).
     pub(crate) write_blocks: SmallMap<u64, ()>,
+    /// Cross-shard mode: distinct blocks read outside the write buffer.
+    pub(crate) read_blocks: SmallMap<u64, ()>,
+    /// Cross-shard mode: read-value log `(addr, value)`, revalidated when
+    /// the publication epoch moves and at commit.
+    pub(crate) rlog: Vec<(u64, u64)>,
+    /// Cross-shard mode: distinct touched blocks in first-touch order.
+    pub(crate) touched: Vec<u64>,
+    /// Cross-shard commit: acquisition plan `(shard, key, write?, block)`.
+    pub(crate) acq: Vec<(u32, u64, bool, u64)>,
+    /// Cross-shard commit: grants held so far `(shard, key, held)`.
+    pub(crate) cgrants: Vec<(u32, u64, Held)>,
     /// Lazy engine: entry → (version observed at first read, fingerprint of
     /// the block read there — for abort-cause attribution at validation).
     pub(crate) read_set: SmallMap<EntryIndex, (u64, u32)>,
@@ -64,6 +77,11 @@ impl TxnScratch {
         self.log.clear();
         self.wbuf.clear();
         self.write_blocks.clear();
+        self.read_blocks.clear();
+        self.rlog.clear();
+        self.touched.clear();
+        self.acq.clear();
+        self.cgrants.clear();
         self.read_set.clear();
         self.entry_buf.clear();
         self.locked_buf.clear();
@@ -75,6 +93,11 @@ impl TxnScratch {
         self.log.is_empty()
             && self.wbuf.is_empty()
             && self.write_blocks.is_empty()
+            && self.read_blocks.is_empty()
+            && self.rlog.is_empty()
+            && self.touched.is_empty()
+            && self.acq.is_empty()
+            && self.cgrants.is_empty()
             && self.read_set.is_empty()
             && self.entry_buf.is_empty()
             && self.locked_buf.is_empty()
@@ -162,6 +185,8 @@ mod tests {
         {
             let mut g = ScratchGuard::checkout();
             g.wbuf.insert(8, 1);
+            g.rlog.push((0, 0));
+            g.cgrants.push((0, 0, Held::Read));
             assert_eq!(pooled_on_this_thread(), 0);
         }
         assert_eq!(pooled_on_this_thread(), 1);

@@ -1,19 +1,80 @@
-//! The sharded engine: per-shard tables and stats, eager single-shard
-//! transactions, and the ordered two-phase cross-shard commit.
+//! The eager engine: `S` ownership tables routed by a [`ShardMap`] over one
+//! heap, eager single-shard transactions, and the ordered two-phase
+//! cross-shard commit.
+//!
+//! This is the crate's **only eager engine**. [`Stm`](crate::Stm) is this
+//! engine at one shard (`ShardMap::new(1, ..)`), where every transaction
+//! stays in eager mode and pays one shard lookup per access over a
+//! single-table design; `tm-shard`'s builder terminals mint it at `S > 1`.
+//! One table is the ceiling on raw scale — every grant funnels through it —
+//! so at `S > 1` the **conflict-detection state** (ownership table, commit
+//! statistics and, via `tm-adaptive`, the resize controller) is partitioned
+//! by cache-block address, while **one heap and one publication gate** keep
+//! the typed layer, `tm-structs` and the wait-free `run_read` path working
+//! unchanged.
+//!
+//! # Protocol
+//!
+//! Transactions start in **eager mode**, pinned to the shard of their
+//! first-touched block (the *home* shard): ownership of the block under
+//! each accessed word is acquired at first encounter in the home shard's
+//! table, writes are buffered privately, a conflicting acquire stalls
+//! (bounded, per [`ContentionPolicy`](crate::ContentionPolicy)) and then
+//! aborts, and commit publishes the buffer inside one publication-gate
+//! bracket. Eager acquisition plus abort-on-conflict means no deadlock.
+//!
+//! The first access to a second shard **escalates** the transaction: the
+//! attempt is abandoned (grants released, nothing published) and the body
+//! restarts in **cross-shard mode** — a restart, not an abort, so it is not
+//! counted, backed off or charged to the retry budget. Cross-shard mode
+//! acquires *no* grants during the body. Reads are served from a
+//! publication-gate-validated heap snapshot (the same epoch scheme as
+//! `run_read`, with whole-read-log revalidation when the epoch moves),
+//! values are logged, and writes stay buffered. Commit is then an ordered
+//! two-phase protocol:
+//!
+//! 1. **Acquire**: grants for the full footprint — write blocks at
+//!    `Access::Write`, read blocks at `Access::Read` — are acquired in
+//!    strictly ascending `(shard index, grant key)` order, spinning on
+//!    conflict up to a (large, bounded) budget.
+//! 2. **Validate + publish**: every logged read value is re-checked
+//!    against the heap (grant holds make the checked words stable), then
+//!    all buffered stores are published inside a single publication-gate
+//!    bracket ([`readpath`](crate::readpath)) and every grant is released.
+//!
+//! **Deadlock freedom**: all *blocking* acquisition in the system is the
+//! cross-shard commit phase, and it is globally ordered — two committers
+//! can never wait on each other in a cycle. Eager-mode transactions
+//! acquire unordered but never block unboundedly (bounded stall, then
+//! abort-and-release), so every wait in the system terminates. The
+//! [`AcquireOrder::Unordered`] mutant exists purely to *prove* the
+//! ordering is load-bearing: under opposing cross-shard transfers it
+//! produces circular waits that exhaust the acquisition budget.
+//!
+//! **Reader atomicity**: the publication gate is shared by every shard,
+//! and a cross-shard commit publishes its entire write set inside one
+//! bracket — a `run_read` transaction can never observe a half-committed
+//! cross-shard transaction, regardless of how many shards it spans.
+//!
+//! The retry loop around attempts is the crate's one retry driver (shared
+//! with the lazy engine); this module supplies only begin, commit and
+//! abort.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::Instant;
 
 use tm_ownership::concurrent::{ConcurrentTable, Held};
 use tm_ownership::{Access, AcquireOutcome, BlockMapper, ConflictClass, ThreadId};
-use tm_stm::{
-    Aborted, Backoff, EngineStats, Heap, PublishGate, ReadOps, RetryLimitExceeded, RetryPolicy,
-    StmConfig, StmStats, StmStatsSnapshot, TmEngine, TxnOps,
-};
 use tm_telemetry::{AbortCause, NoopProbe, Probe};
 
+use crate::contention::RetryPolicy;
+use crate::engine::{ReadOps, TmEngine, TxnOps};
+use crate::heap::Heap;
 use crate::map::ShardMap;
-use crate::scratch::ShardScratchGuard;
+use crate::readpath::PublishGate;
+use crate::retry::{self, Abandon, Aborted, Attempts, RetryLimitExceeded};
+use crate::scratch::ScratchGuard;
+use crate::stats::{EngineStats, StmStats};
+use crate::stm::StmConfig;
 
 /// Default spin budget per grant during the cross-shard commit's ordered
 /// acquisition phase. Deliberately much larger than the eager stall budget:
@@ -46,27 +107,15 @@ pub enum AcquireOrder {
     Unordered,
 }
 
+/// Map a table-attributed [`ConflictClass`] to the telemetry taxonomy.
 #[inline]
-fn cause_of_class(class: ConflictClass) -> AbortCause {
+pub(crate) fn cause_of_class(class: ConflictClass) -> AbortCause {
     match class {
         ConflictClass::KnownFalse => AbortCause::FalseConflict,
         ConflictClass::KnownTrue => AbortCause::TrueConflict,
         ConflictClass::Unknown => AbortCause::UnknownConflict,
     }
 }
-
-#[inline]
-fn elapsed_ns(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
-
-/// Monomorphization firewall for update bodies (mirrors `tm_stm`'s
-/// `BodyFn`): the retry loop is compiled once per engine, not per closure.
-type BodyFn<'b, 's, T, P, R> = &'b mut dyn FnMut(&mut ShardTxn<'s, T, P>) -> Result<R, Aborted>;
-
-/// Erased read-only body for the wait-free read path.
-type ReadBodyFn<'b, 's, T, P, R> =
-    &'b mut dyn FnMut(&mut ShardReadTxn<'s, T, P>) -> Result<R, Aborted>;
 
 /// One shard's conflict-detection state: its ownership table and its
 /// commit-stream statistics (each internally striped and padded).
@@ -80,9 +129,10 @@ struct ShardState<T> {
 /// tables and statistics blocks routed by a [`ShardMap`], over **one**
 /// heap and **one** publication gate.
 ///
-/// See the crate docs for the protocol. Build via
-/// [`ShardedStmBuilder`](crate::ShardedStmBuilder) terminals on
-/// `tm_stm::StmBuilder` (`.shards(S).build_sharded_tagless()` etc.).
+/// See the [module docs](self) for the protocol. [`Stm`](crate::Stm) is
+/// this engine at one shard; `tm-shard`'s `ShardedStmBuilder` terminals on
+/// [`StmBuilder`](crate::StmBuilder) build it at any shard count
+/// (`.shards(S).build_sharded_tagless()` etc.).
 #[derive(Debug)]
 pub struct ShardedStm<T: ConcurrentTable, P: Probe = NoopProbe> {
     heap: Heap,
@@ -111,27 +161,18 @@ pub struct ShardedStm<T: ConcurrentTable, P: Probe = NoopProbe> {
 }
 
 impl<T: ConcurrentTable> ShardedStm<T> {
-    /// Build a sharded STM with telemetry off. `tables.len()` must equal
-    /// `map.shards()`; every table must share one block geometry.
-    pub fn new(heap_words: usize, tables: Vec<T>, map: ShardMap, config: StmConfig) -> Self {
-        Self::with_probe(heap_words, tables, map, config, NoopProbe)
+    /// Build an STM with one shard per table, with telemetry off. Every
+    /// table must share one block geometry.
+    pub fn new(heap_words: usize, tables: Vec<T>, config: StmConfig) -> Self {
+        Self::with_probe(heap_words, tables, config, NoopProbe)
     }
 }
 
 impl<T: ConcurrentTable, P: Probe> ShardedStm<T, P> {
-    /// Build a sharded STM with an attached telemetry probe.
-    pub fn with_probe(
-        heap_words: usize,
-        tables: Vec<T>,
-        map: ShardMap,
-        config: StmConfig,
-        probe: P,
-    ) -> Self {
-        assert_eq!(
-            tables.len(),
-            map.shards() as usize,
-            "one table per shard required"
-        );
+    /// Build an STM with one shard per table and an attached telemetry
+    /// probe. The heap's blocks are cut into `tables.len()` contiguous
+    /// spans ([`ShardMap::for_heap`]).
+    pub fn with_probe(heap_words: usize, tables: Vec<T>, config: StmConfig, probe: P) -> Self {
         assert!(!tables.is_empty(), "need at least one shard");
         let block_bytes = tables[0].config().mapper().block_bytes();
         for t in &tables {
@@ -143,7 +184,7 @@ impl<T: ConcurrentTable, P: Probe> ShardedStm<T, P> {
         }
         ShardedStm {
             heap: Heap::new(heap_words),
-            map,
+            map: ShardMap::for_heap(tables.len(), heap_words, block_bytes),
             shards: tables
                 .into_iter()
                 .map(|table| ShardState {
@@ -212,33 +253,23 @@ impl<T: ConcurrentTable, P: Probe> ShardedStm<T, P> {
     /// shard. A cross-shard commit appears in *every* participating
     /// shard's counters (commit and footprint alike, so per-shard means
     /// stay self-consistent); [`stats`](Self::stats) de-duplicates.
-    pub fn shard_stats(&self, shard: usize) -> StmStatsSnapshot {
+    pub fn shard_stats(&self, shard: usize) -> EngineStats {
         self.shards[shard].stats.snapshot()
     }
 
     /// Every shard's statistics snapshot, by shard index (see
     /// [`shard_stats`](Self::shard_stats) for cross-shard attribution).
-    pub fn shard_snapshots(&self) -> Vec<StmStatsSnapshot> {
+    pub fn shard_snapshots(&self) -> Vec<EngineStats> {
         self.shards.iter().map(|s| s.stats.snapshot()).collect()
     }
 
     /// Whole-engine statistics: the field-wise sum over shards, with
     /// cross-shard commits de-duplicated (each counts once per
     /// participating shard in the per-shard view, once here).
-    pub fn stats(&self) -> StmStatsSnapshot {
-        let mut total = StmStatsSnapshot::default();
-        for s in &self.shards {
-            let snap = s.stats.snapshot();
-            total.commits += snap.commits;
-            total.aborts += snap.aborts;
-            total.stall_retries += snap.stall_retries;
-            total.strong_reads += snap.strong_reads;
-            total.strong_writes += snap.strong_writes;
-            total.strong_stalls += snap.strong_stalls;
-            total.committed_write_blocks += snap.committed_write_blocks;
-            total.committed_grant_blocks += snap.committed_grant_blocks;
-            total.read_only_commits += snap.read_only_commits;
-            total.read_validation_retries += snap.read_validation_retries;
+    pub fn stats(&self) -> EngineStats {
+        let mut total = EngineStats::default();
+        for s in self.shards.iter() {
+            s.stats.add_to(&mut total);
         }
         // Counters are read racily: a cross-shard committer bumps its
         // non-coordinator shards' commit counters before the extra
@@ -282,149 +313,77 @@ impl<T: ConcurrentTable, P: Probe> ShardedStm<T, P> {
         &self.shards[shard as usize].stats
     }
 
-    /// The retry loop behind `TmEngine::run_with`: eager attempts with
-    /// transparent one-time escalation to cross-shard mode.
-    fn run_with_budget<'s, R>(
-        &'s self,
-        me: ThreadId,
-        max_attempts: u32,
-        body: BodyFn<'_, 's, T, P, R>,
-    ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        let mut cross = false;
-        let txn_start = P::ENABLED.then(Instant::now);
-        if P::ENABLED {
-            self.probe.on_txn_begin(me);
+    /// A quiescent publication-gate epoch, spinning up to
+    /// [`ReadPathPolicy::max_spins`](crate::ReadPathPolicy::max_spins) while
+    /// a publication is in flight (windows are a handful of relaxed stores,
+    /// so the budget almost always suffices).
+    fn quiescent_epoch(&self) -> Option<u64> {
+        let mut epoch = self.gate.reader_epoch();
+        let mut spins = 0u32;
+        while epoch.is_none() && spins < self.config.read_path.max_spins {
+            spins += 1;
+            std::hint::spin_loop();
+            epoch = self.gate.reader_epoch();
         }
+        epoch
+    }
+
+    /// The block under `addr` (every shard shares one block geometry).
+    #[inline]
+    fn block_of(&self, addr: u64) -> u64 {
+        self.shards[0].table.config().mapper().block_of(addr)
+    }
+
+    /// A strong-isolation access (paper §6): acquire the block in its
+    /// shard's table for the duration of `op`, spinning while a
+    /// transaction holds it.
+    fn strong<R>(&self, me: ThreadId, addr: u64, access: Access, op: impl FnOnce() -> R) -> R {
+        // Invariant across spins — derive once, as `Txn` does.
+        let block = self.block_of(addr);
+        let shard = &self.shards[self.map.shard_of(block) as usize];
+        shard.stats.on_strong(me, access == Access::Write);
         loop {
-            let attempt_start = P::ENABLED.then(Instant::now);
-            let mut txn = ShardTxn::new(self, me, cross);
-            let outcome = body(&mut txn).and_then(|r| txn.commit_attempt().map(|_| r));
-            match outcome {
-                Ok(r) => {
-                    let shard = txn.commit_shard;
-                    let span = txn.commit_span;
-                    txn.finish();
-                    self.stat_shard(shard).on_commit(me);
-                    if span >= 2 {
-                        self.cross_commits.fetch_add(1, Ordering::Relaxed);
-                        if P::ENABLED {
-                            self.probe.on_cross_shard_commit(me, span);
-                        }
-                    }
-                    if P::ENABLED {
-                        self.probe.on_commit(
-                            me,
-                            elapsed_ns(attempt_start),
-                            elapsed_ns(txn_start),
-                            u64::from(attempts) + 1,
-                        );
-                    }
-                    return Ok(r);
+            match shard.table.acquire(me, block, access, Held::None) {
+                AcquireOutcome::Granted => {
+                    let r = op();
+                    shard
+                        .table
+                        .release(me, shard.table.grant_key(block), Held::None.after(access));
+                    return r;
                 }
-                Err(Aborted) => {
-                    if txn.escalate && !cross {
-                        // Mode switch, not contention: restart the body in
-                        // cross-shard mode without burning an attempt or a
-                        // backoff (and without touching abort counters).
-                        cross = true;
-                        txn.finish();
-                        continue;
-                    }
-                    let cause = txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry);
-                    let shard = txn.first_shard.unwrap_or(0);
-                    let commit_phase_abort = txn.commit_phase_abort;
-                    txn.finish();
-                    self.stat_shard(shard).on_abort(me);
-                    if commit_phase_abort {
-                        self.cross_aborts.fetch_add(1, Ordering::Relaxed);
-                        if P::ENABLED {
-                            self.probe.on_cross_shard_abort(me);
-                        }
-                    }
-                    if P::ENABLED {
-                        self.probe.on_abort(me, cause, elapsed_ns(attempt_start));
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
+                // Only possible if the caller misuses a transaction's id;
+                // access without a release obligation.
+                AcquireOutcome::AlreadyHeld => return op(),
+                AcquireOutcome::Conflict(_) => {
+                    shard.stats.on_strong_stall(me);
+                    std::hint::spin_loop();
                 }
             }
         }
     }
 
-    /// The wait-free read-only path: identical to the unsharded eager
-    /// engine's (the gate is engine-global, so shard routing never enters
-    /// the picture). Read-side stats land in shard `me % S`.
-    fn run_read_with_budget<'s, R>(
-        &'s self,
-        me: ThreadId,
-        max_attempts: u32,
-        body: ReadBodyFn<'_, 's, T, P, R>,
-    ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let stat_shard = me as usize % self.shards.len();
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        let txn_start = P::ENABLED.then(Instant::now);
-        loop {
-            if P::ENABLED {
-                self.probe.on_read_begin(me);
-            }
-            let mut epoch = self.gate.reader_epoch();
-            let mut spins = 0u32;
-            while epoch.is_none() && spins < self.config.read_path.max_spins {
-                spins += 1;
-                std::hint::spin_loop();
-                epoch = self.gate.reader_epoch();
-            }
-            let outcome = match epoch {
-                Some(epoch) => {
-                    let mut txn = ShardReadTxn {
-                        stm: self,
-                        epoch,
-                        reads: 0,
-                    };
-                    body(&mut txn)
-                }
-                None => Err(Aborted),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.shards[stat_shard].stats.on_read_commit(me);
-                    if P::ENABLED {
-                        self.probe.on_read_commit(me, elapsed_ns(txn_start));
-                    }
-                    return Ok(r);
-                }
-                Err(Aborted) => {
-                    self.shards[stat_shard].stats.on_read_validation_retry(me);
-                    if P::ENABLED {
-                        self.probe.on_read_validation_retry(me);
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
-                }
-            }
-        }
+    /// Strong-isolation non-transactional read (paper §6): consult the
+    /// block's ownership table so the read cannot observe a transaction's
+    /// speculative state, spinning while a writer holds the block.
+    pub fn strong_read(&self, me: ThreadId, addr: u64) -> u64 {
+        self.strong(me, addr, Access::Read, || self.heap.load(addr))
+    }
+
+    /// Strong-isolation non-transactional write (paper §6); spins while any
+    /// transaction holds the block.
+    pub fn strong_write(&self, me: ThreadId, addr: u64, value: u64) {
+        self.strong(me, addr, Access::Write, || self.heap.store(addr, value))
     }
 }
 
 impl<T: ConcurrentTable, P: Probe> TmEngine for ShardedStm<T, P> {
     type Txn<'e>
-        = ShardTxn<'e, T, P>
+        = Txn<'e, T, P>
     where
         Self: 'e;
 
     type ReadTxn<'e>
-        = ShardReadTxn<'e, T, P>
+        = ReadTxn<'e, T, P>
     where
         Self: 'e;
 
@@ -432,18 +391,18 @@ impl<T: ConcurrentTable, P: Probe> TmEngine for ShardedStm<T, P> {
         &'s self,
         me: ThreadId,
         policy: RetryPolicy,
-        mut body: impl FnMut(&mut ShardTxn<'s, T, P>) -> Result<R, Aborted>,
+        mut body: impl FnMut(&mut Txn<'s, T, P>) -> Result<R, Aborted>,
     ) -> Result<R, RetryLimitExceeded> {
-        self.run_with_budget(me, policy.budget(), &mut body)
+        retry::run(self, me, policy.budget(), &mut body)
     }
 
     fn run_read_with<'s, R>(
         &'s self,
         me: ThreadId,
         policy: RetryPolicy,
-        mut body: impl FnMut(&mut ShardReadTxn<'s, T, P>) -> Result<R, Aborted>,
+        mut body: impl FnMut(&mut ReadTxn<'s, T, P>) -> Result<R, Aborted>,
     ) -> Result<R, RetryLimitExceeded> {
-        self.run_read_with_budget(me, policy.budget(), &mut body)
+        retry::run_read(self, me, policy.budget(), &mut body)
     }
 
     fn retry_policy(&self) -> RetryPolicy {
@@ -451,7 +410,7 @@ impl<T: ConcurrentTable, P: Probe> TmEngine for ShardedStm<T, P> {
     }
 
     fn engine_stats(&self) -> EngineStats {
-        self.stats().into()
+        self.stats()
     }
 
     fn heap(&self) -> &Heap {
@@ -459,64 +418,131 @@ impl<T: ConcurrentTable, P: Probe> TmEngine for ShardedStm<T, P> {
     }
 }
 
-/// An in-flight sharded transaction.
+impl<T: ConcurrentTable, P: Probe> Attempts for ShardedStm<T, P> {
+    type P = P;
+
+    fn probe(&self) -> &P {
+        &self.probe
+    }
+
+    fn begin(&self, me: ThreadId, restarted: bool) -> Txn<'_, T, P> {
+        // Escalation is sticky: once restarted, every later attempt of the
+        // transaction runs in cross-shard mode.
+        Txn::new(self, me, restarted)
+    }
+
+    fn commit<'s>(&'s self, mut txn: Txn<'s, T, P>) -> Result<(), Abandon> {
+        let me = txn.id;
+        let Ok((shard, span)) = txn.commit_attempt() else {
+            // Only the cross-shard commit can fail, in its ordered
+            // acquisition or validation phase.
+            self.cross_aborts.fetch_add(1, Ordering::Relaxed);
+            if P::ENABLED {
+                self.probe.on_cross_shard_abort(me);
+            }
+            return Err(self.abort(txn));
+        };
+        txn.finish();
+        self.stat_shard(shard).on_commit(me);
+        if span >= 2 {
+            self.cross_commits.fetch_add(1, Ordering::Relaxed);
+            if P::ENABLED {
+                self.probe.on_cross_shard_commit(me, span);
+            }
+        }
+        Ok(())
+    }
+
+    fn abort<'s>(&'s self, mut txn: Txn<'s, T, P>) -> Abandon {
+        if txn.escalate {
+            // Mode switch, not contention: touch no abort counter.
+            txn.finish();
+            return Abandon::Restart;
+        }
+        let me = txn.id;
+        let cause = txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry);
+        let shard = txn.home.unwrap_or(0);
+        txn.finish();
+        self.stat_shard(shard).on_abort(me);
+        Abandon::Abort(cause)
+    }
+
+    /// The wait-free read-only path: wait out any in-flight publication,
+    /// then serve the body from the bare heap with per-read gate
+    /// validation. No scratch is checked out and no ownership-table grant
+    /// is ever acquired — readers impose zero table footprint on writers.
+    /// The gate is engine-global, so shard routing never enters the
+    /// picture.
+    fn begin_read(&self, _me: ThreadId) -> Option<ReadTxn<'_, T, P>> {
+        self.quiescent_epoch().map(|epoch| ReadTxn {
+            stm: self,
+            epoch,
+            reads: 0,
+        })
+    }
+
+    /// Read-side stats land in shard `me % S`.
+    fn read_stats(&self, me: ThreadId) -> &StmStats {
+        &self.shards[me as usize % self.shards.len()].stats
+    }
+}
+
+/// An in-flight transaction on the eager engine: the per-thread ownership
+/// log (grant key → held level) and the speculative write buffer the
+/// paper's §2.1 describes.
 ///
-/// Starts **eager** (home-shard grants, exactly the unsharded protocol);
-/// transparently restarts in **cross-shard** mode (grant-free body,
-/// ordered commit-time acquisition) when it touches a second shard. See
-/// the crate docs.
+/// Starts **eager** (home-shard grants); transparently restarts in
+/// **cross-shard** mode (grant-free body, ordered commit-time acquisition)
+/// when it touches a second shard — never at one shard. See the
+/// [module docs](self). All per-attempt structures live in a recycled
+/// [`TxnScratch`](crate::TxnScratch) checked out of the thread's pool, and
+/// the block mapper plus the contention policy's spin budget are cached
+/// inline, so a steady-state attempt performs no heap allocation, no
+/// rehash and no configuration re-derivation on any access.
 #[derive(Debug)]
-pub struct ShardTxn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
+pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
     stm: &'s ShardedStm<T, P>,
     id: ThreadId,
     /// Cached block mapper (shared geometry across shards).
     mapper: BlockMapper,
     /// Cached eager-mode stall budget.
     max_spins: u32,
-    scratch: ShardScratchGuard,
+    scratch: ScratchGuard,
     /// Cross-shard mode (sticky across this transaction's attempts via the
-    /// retry loop; an eager attempt that touches a second shard sets
-    /// `escalate` and aborts).
+    /// retry driver; an eager attempt that touches a second shard sets
+    /// `escalate` and abandons the attempt).
     cross: bool,
-    /// Eager mode: the shard of the first-touched block.
+    /// The shard of the first-touched block: in eager mode every grant
+    /// lives there; in either mode aborts and stalls are attributed to it.
     home: Option<u32>,
-    /// First shard touched in any mode (abort attribution).
-    first_shard: Option<u32>,
     /// Cross mode: the publication-gate epoch the read log is valid at.
     epoch: Option<u64>,
-    /// Set when an eager attempt touched a second shard: the retry loop
+    /// Set when an eager attempt touched a second shard: the retry driver
     /// restarts the body in cross-shard mode instead of counting an abort.
     escalate: bool,
-    /// Set when a cross-shard commit failed in acquisition/validation
-    /// (drives the `cross_shard_aborts` counter).
-    commit_phase_abort: bool,
-    /// Filled by a successful commit: the shard the commit is attributed
-    /// to, and how many shards the footprint spanned.
-    commit_shard: u32,
-    commit_span: u32,
+    /// Stall-policy re-attempts this attempt; flushed to the shared
+    /// (striped) stats once per attempt instead of once per spin.
     stall_retries: u64,
     finished: bool,
     reads: u64,
     writes: u64,
+    /// Cause of the abort that ended this attempt (telemetry only; set at
+    /// the conflict site, consumed by [`Attempts::abort`]).
     abort_cause: Option<AbortCause>,
 }
 
-impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
-    fn new(stm: &'s ShardedStm<T, P>, id: ThreadId, cross: bool) -> Self {
+impl<'s, T: ConcurrentTable, P: Probe> Txn<'s, T, P> {
+    pub(crate) fn new(stm: &'s ShardedStm<T, P>, id: ThreadId, cross: bool) -> Self {
         Self {
             stm,
             id,
             mapper: stm.shards[0].table.config().mapper(),
             max_spins: stm.config.contention.max_spins(),
-            scratch: ShardScratchGuard::checkout(),
+            scratch: ScratchGuard::checkout(),
             cross,
             home: None,
-            first_shard: None,
             epoch: None,
             escalate: false,
-            commit_phase_abort: false,
-            commit_shard: 0,
-            commit_span: 1,
             stall_retries: 0,
             finished: false,
             reads: 0,
@@ -530,6 +556,11 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
         self.id
     }
 
+    /// Distinct home-shard ownership grants currently held (eager mode).
+    pub fn grant_count(&self) -> usize {
+        self.scratch.log.len()
+    }
+
     /// Whether this attempt is running in cross-shard mode.
     pub fn is_cross_shard(&self) -> bool {
         self.cross
@@ -540,26 +571,26 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
         self.scratch.wbuf.len()
     }
 
-    /// Eager mode: resolve the home shard, or escalate when `shard`
-    /// differs from an already-pinned home.
+    /// The shard owning `block`. The first touch pins the home shard; in
+    /// eager mode a touch of any other shard escalates the attempt.
     #[inline]
-    fn pin_home(&mut self, shard: u32) -> Result<(), Aborted> {
+    fn route(&mut self, block: u64) -> Result<u32, Aborted> {
+        let shard = self.stm.map.shard_of(block);
         match self.home {
-            None => {
-                self.home = Some(shard);
-                self.first_shard = Some(shard);
-                Ok(())
-            }
-            Some(h) if h == shard => Ok(()),
-            Some(_) => {
+            None => self.home = Some(shard),
+            Some(home) if home != shard && !self.cross => {
                 self.escalate = true;
-                Err(Aborted)
+                return Err(Aborted);
             }
+            Some(_) => {}
         }
+        Ok(shard)
     }
 
-    /// Eager-mode acquire on the home shard's table — the unsharded
-    /// engine's acquire, verbatim.
+    /// Eager-mode acquire on the home shard's table. Everything invariant
+    /// across the stall-retry spins — grant key, currently-held level —
+    /// is resolved once, before the loop; each re-attempt is just the
+    /// table CAS/probe plus a pause.
     fn acquire_eager(&mut self, shard: u32, block: u64, access: Access) -> Result<(), Aborted> {
         let table = &self.stm.shards[shard as usize].table;
         let key = table.grant_key(block);
@@ -593,18 +624,25 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
         }
     }
 
-    /// Spin for a quiescent publication-gate epoch (cross mode).
-    fn spin_for_epoch(&self) -> Result<u64, Aborted> {
-        let mut spins = 0u32;
-        loop {
-            if let Some(e) = self.stm.gate.reader_epoch() {
-                return Ok(e);
+    /// Whether every logged read value still matches the heap.
+    fn read_log_holds(&self) -> bool {
+        let heap = &self.stm.heap;
+        self.scratch
+            .rlog
+            .iter()
+            .all(|&(addr, value)| heap.load(addr) == value)
+    }
+
+    /// Publish the write buffer inside one publication-gate bracket, so the
+    /// table-free read path observes all of it or none.
+    fn publish(&self) {
+        if !self.scratch.wbuf.is_empty() {
+            let stm = self.stm;
+            stm.gate.publish_begin(self.id);
+            for (addr, value) in self.scratch.wbuf.iter() {
+                stm.heap.store(addr, value);
             }
-            if spins >= self.stm.config.read_path.max_spins {
-                return Err(Aborted);
-            }
-            spins += 1;
-            std::hint::spin_loop();
+            stm.gate.publish_end(self.id);
         }
     }
 
@@ -614,13 +652,8 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
     fn revalidate_read_log(&mut self) -> Result<u64, Aborted> {
         let stm = self.stm;
         for _ in 0..REVALIDATE_ROUNDS {
-            let epoch = self.spin_for_epoch()?;
-            let consistent = self
-                .scratch
-                .rlog
-                .iter()
-                .all(|&(addr, value)| stm.heap.load(addr) == value);
-            if !consistent {
+            let epoch = stm.quiescent_epoch().ok_or(Aborted)?;
+            if !self.read_log_holds() {
                 if P::ENABLED {
                     self.abort_cause = Some(AbortCause::ValidationFailed);
                 }
@@ -641,7 +674,7 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
         let mut epoch = match self.epoch {
             Some(e) => e,
             None => {
-                let e = self.spin_for_epoch()?;
+                let e = stm.quiescent_epoch().ok_or(Aborted)?;
                 self.epoch = Some(e);
                 e
             }
@@ -663,7 +696,7 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
         }
     }
 
-    /// Release every commit-phase grant (error paths and epilogue).
+    /// Release every commit-phase grant (the attempt epilogue).
     fn release_commit_grants(&mut self) {
         let stm = self.stm;
         if stm.order == AcquireOrder::Unordered && !self.scratch.cgrants.is_empty() {
@@ -676,9 +709,9 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
     }
 
     /// The ordered two-phase cross-shard commit. On success the write set
-    /// is published (single gate bracket) and all grants are released; on
-    /// failure everything acquired is released and the attempt aborts.
-    fn commit_cross(&mut self) -> Result<(), Aborted> {
+    /// is published (single gate bracket); either way the grants acquired
+    /// here are released by [`finish`](Self::finish).
+    fn commit_cross(&mut self) -> Result<(u32, u32), Aborted> {
         let stm = self.stm;
 
         // Build the acquisition plan: one entry per touched block, in
@@ -750,8 +783,6 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
                             if P::ENABLED {
                                 self.abort_cause = Some(cause_of_class(c.class));
                             }
-                            self.commit_phase_abort = true;
-                            self.release_commit_grants();
                             return Err(Aborted);
                         }
                         spins += 1;
@@ -772,30 +803,22 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
         // Phase 2a: validate the read log. Every checked word is covered
         // by a grant we now hold, so no writer can be mid-publication on
         // it — the loads below are stable.
-        let consistent = self
-            .scratch
-            .rlog
-            .iter()
-            .all(|&(addr, value)| stm.heap.load(addr) == value);
-        if !consistent {
+        if !self.read_log_holds() {
             if P::ENABLED {
                 self.abort_cause = Some(AbortCause::ValidationFailed);
             }
-            self.commit_phase_abort = true;
-            self.release_commit_grants();
             return Err(Aborted);
         }
 
         // Footprint accounting and attribution: the commit is counted in
         // the lowest participating shard; each shard's footprint counters
         // get the blocks that actually landed there.
+        let s = &*self.scratch;
+        let coordinator = s.acq.iter().map(|&(shard, ..)| shard).min().unwrap_or(0);
         let mut span = 0u32;
-        let mut coordinator = u32::MAX;
         {
-            let s = &*self.scratch;
             let mut seen: u64 = 0; // shard bitmap (shards ≤ 64 by builder cap)
             for &(shard, ..) in s.acq.iter() {
-                coordinator = coordinator.min(shard);
                 let bit = 1u64 << (shard as u64 & 63);
                 if seen & bit == 0 {
                     seen |= bit;
@@ -816,7 +839,7 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
                 stm.stat_shard(shard_idx)
                     .on_commit_footprint(self.id, writes, grants);
                 // Pair the blocks just recorded with a commit event in the
-                // same shard (the coordinator's lands in the retry loop):
+                // same shard (the coordinator's lands in `Attempts::commit`):
                 // a shard whose counters carried cross-shard write blocks
                 // but no commits would hand its adaptive controller an
                 // unboundedly inflated mean footprint, and the controller
@@ -830,56 +853,35 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
                 stm.cross_extra_commits.fetch_add(extra, Ordering::Relaxed);
             }
         }
-        self.commit_shard = if coordinator == u32::MAX {
-            0
-        } else {
-            coordinator
-        };
-        self.commit_span = span.max(1);
-
         // Phase 2b: publish everything inside one gate bracket — readers
         // on the wait-free path observe the whole cross-shard write set or
-        // none of it — then release.
-        if !self.scratch.wbuf.is_empty() {
-            stm.gate.publish_begin(self.id);
-            for (addr, value) in self.scratch.wbuf.iter() {
-                stm.heap.store(addr, value);
-            }
-            stm.gate.publish_end(self.id);
-        }
-        self.release_commit_grants();
-        Ok(())
+        // none of it.
+        self.publish();
+        Ok((coordinator, span.max(1)))
     }
 
-    /// Eager-mode commit: the unsharded engine's commit on the home shard.
-    fn commit_eager(&mut self) {
-        let stm = self.stm;
+    /// Commit this attempt. Cross-shard mode runs the ordered two-phase
+    /// commit, which can abort. Eager mode cannot fail: it records the
+    /// footprint in the home shard (distinct written blocks, the model's
+    /// `W`, and grants held, `(1+α)·W`) and publishes the buffered writes;
+    /// the table's Release/Acquire transitions order the (relaxed) heap
+    /// stores before any later reader's loads, and [`finish`](Self::finish)
+    /// releases the grants afterwards.
+    ///
+    /// Returns the shard the commit is attributed to and how many shards
+    /// the footprint spanned.
+    fn commit_attempt(&mut self) -> Result<(u32, u32), Aborted> {
+        if self.cross {
+            return self.commit_cross();
+        }
         let shard = self.home.unwrap_or(0);
-        stm.stat_shard(shard).on_commit_footprint(
+        self.stm.stat_shard(shard).on_commit_footprint(
             self.id,
             self.scratch.write_blocks.len() as u64,
             self.scratch.log.len() as u64,
         );
-        if !self.scratch.wbuf.is_empty() {
-            stm.gate.publish_begin(self.id);
-            for (addr, value) in self.scratch.wbuf.iter() {
-                stm.heap.store(addr, value);
-            }
-            stm.gate.publish_end(self.id);
-        }
-        self.commit_shard = shard;
-        self.commit_span = 1;
-    }
-
-    /// Commit this attempt. Infallible in eager mode; in cross-shard mode
-    /// the ordered acquisition or validation can abort.
-    fn commit_attempt(&mut self) -> Result<(), Aborted> {
-        if self.cross {
-            self.commit_cross()
-        } else {
-            self.commit_eager();
-            Ok(())
-        }
+        self.publish();
+        Ok((shard, 1))
     }
 
     /// Attempt epilogue (commit, abort, and escalation paths): release
@@ -896,38 +898,33 @@ impl<'s, T: ConcurrentTable, P: Probe> ShardTxn<'s, T, P> {
                 table.release(self.id, key, held);
             }
         }
-        if !self.scratch.cgrants.is_empty() {
-            self.release_commit_grants();
-        }
-        stm.stat_shard(self.first_shard.unwrap_or(0))
+        self.release_commit_grants();
+        stm.stat_shard(self.home.unwrap_or(0))
             .add_stall_retries(self.id, self.stall_retries);
         self.stall_retries = 0;
         self.finished = true;
     }
 }
 
-impl<T: ConcurrentTable, P: Probe> Drop for ShardTxn<'_, T, P> {
+impl<T: ConcurrentTable, P: Probe> Drop for Txn<'_, T, P> {
     fn drop(&mut self) {
-        // A panic inside the body must not leak grants in any shard.
+        // A panic inside the body (or an early return path we didn't see)
+        // must not leak grants in any shard, or the batched stall count.
         self.finish();
     }
 }
 
-impl<T: ConcurrentTable, P: Probe> ReadOps for ShardTxn<'_, T, P> {
+impl<T: ConcurrentTable, P: Probe> ReadOps for Txn<'_, T, P> {
     fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
         self.reads += 1;
         if let Some(v) = self.scratch.wbuf.get(addr) {
             return Ok(v);
         }
         let block = self.mapper.block_of(addr);
-        let shard = self.stm.map.shard_of(block);
+        let shard = self.route(block)?;
         if self.cross {
-            if self.first_shard.is_none() {
-                self.first_shard = Some(shard);
-            }
             return self.read_cross(addr, block);
         }
-        self.pin_home(shard)?;
         self.acquire_eager(shard, block, Access::Read)?;
         Ok(self.stm.heap.load(addr))
     }
@@ -937,23 +934,17 @@ impl<T: ConcurrentTable, P: Probe> ReadOps for ShardTxn<'_, T, P> {
     }
 }
 
-impl<T: ConcurrentTable, P: Probe> TxnOps for ShardTxn<'_, T, P> {
+impl<T: ConcurrentTable, P: Probe> TxnOps for Txn<'_, T, P> {
     fn write(&mut self, addr: u64, value: u64) -> Result<(), Aborted> {
         self.writes += 1;
         let block = self.mapper.block_of(addr);
-        let shard = self.stm.map.shard_of(block);
-        if self.cross {
-            if self.first_shard.is_none() {
-                self.first_shard = Some(shard);
-            }
-            if !self.scratch.write_blocks.contains(block)
-                && !self.scratch.read_blocks.contains(block)
-            {
-                self.scratch.touched.push(block);
-            }
-        } else {
-            self.pin_home(shard)?;
+        let shard = self.route(block)?;
+        if !self.cross {
             self.acquire_eager(shard, block, Access::Write)?;
+        } else if !self.scratch.write_blocks.contains(block)
+            && !self.scratch.read_blocks.contains(block)
+        {
+            self.scratch.touched.push(block);
         }
         self.scratch.write_blocks.insert(block, ());
         self.scratch.wbuf.insert(addr, value);
@@ -965,20 +956,27 @@ impl<T: ConcurrentTable, P: Probe> TxnOps for ShardTxn<'_, T, P> {
     }
 }
 
-/// An in-flight read-only transaction on the sharded engine: identical to
-/// the unsharded eager engine's (engine-global gate epoch, bare heap
-/// loads, per-read validation). Cross-shard commits publish under one
-/// bracket, so this path can never observe a torn cross-shard write set.
+/// An in-flight **read-only** transaction on the eager engine: three words
+/// on the stack, no scratch checkout, no ownership-table access.
+///
+/// Each read loads the heap word directly and then validates against the
+/// publication gate (see the `readpath` module docs): if no commit-time
+/// publication has started since this transaction's begin epoch, every
+/// value read so far belongs to one quiescent heap snapshot. Cross-shard
+/// commits publish under one bracket, so this path never observes a torn
+/// cross-shard write set.
 #[derive(Debug)]
-pub struct ShardReadTxn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
+pub struct ReadTxn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
     stm: &'s ShardedStm<T, P>,
     epoch: u64,
     reads: u64,
 }
 
-impl<T: ConcurrentTable, P: Probe> ReadOps for ShardReadTxn<'_, T, P> {
+impl<T: ConcurrentTable, P: Probe> ReadOps for ReadTxn<'_, T, P> {
     fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
         let value = self.stm.heap.load(addr);
+        // Load first, fence, then re-check the gate: if any publication
+        // started since begin, the value may be torn — abort and retry.
         if !self.stm.gate.still_at(self.epoch) {
             return Err(Aborted);
         }
@@ -994,19 +992,30 @@ impl<T: ConcurrentTable, P: Probe> ReadOps for ShardReadTxn<'_, T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ShardedStmBuilder;
-    use tm_stm::StmBuilder;
+    use crate::StmBuilder;
+    use tm_ownership::ConcurrentTaglessTable;
 
-    fn engine(shards: usize) -> ShardedStm<tm_stm::ConcurrentTaglessTable> {
-        StmBuilder::new()
-            .heap_words(1 << 12)
+    const HEAP_WORDS: usize = 1 << 12;
+
+    /// A tagless engine over `shards` shards sharing a 1024-entry budget,
+    /// with probe `probe`.
+    fn engine_probed<P: Probe>(shards: usize, probe: P) -> ShardedStm<ConcurrentTaglessTable, P> {
+        let b = StmBuilder::new()
+            .heap_words(HEAP_WORDS)
             .table_entries(1 << 10)
-            .shards(shards)
-            .build_sharded_tagless()
+            .shards(shards);
+        let tables = (0..shards)
+            .map(|_| ConcurrentTaglessTable::new(b.shard_table_config()))
+            .collect();
+        ShardedStm::with_probe(HEAP_WORDS, tables, b.stm_config(), probe)
+    }
+
+    fn engine(shards: usize) -> ShardedStm<ConcurrentTaglessTable> {
+        engine_probed(shards, NoopProbe)
     }
 
     /// Word address at the start of `shard`'s block range.
-    fn addr_in(stm: &ShardedStm<tm_stm::ConcurrentTaglessTable>, shard: u32) -> u64 {
+    fn addr_in(stm: &ShardedStm<ConcurrentTaglessTable>, shard: u32) -> u64 {
         stm.shard_map().block_range(shard).start * 64
     }
 
@@ -1143,12 +1152,7 @@ mod tests {
         use tm_telemetry::Recorder;
 
         let recorder = Arc::new(Recorder::new());
-        let stm = StmBuilder::new()
-            .heap_words(1 << 12)
-            .table_entries(1 << 10)
-            .shards(4)
-            .probe(Arc::clone(&recorder))
-            .build_sharded_tagless();
+        let stm = engine_probed(4, Arc::clone(&recorder));
         let b = stm.shard_map().block_range(2).start * 64;
         stm.run(0, |txn| {
             txn.write(0, 1)?;

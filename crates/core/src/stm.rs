@@ -1,87 +1,25 @@
-//! The STM engine: transactions, speculative buffering, commit and abort.
+//! [`Stm`]: the eager engine at one shard.
 //!
-//! This is an **eager-acquire, lazy-update** word-based STM in the mold of
-//! the systems the paper surveys: ownership of the cache block underlying a
-//! word is acquired at first encounter (read or write) in the ownership
-//! table; writes are buffered privately until commit; a conflicting acquire
-//! aborts (or stalls, per [`ContentionPolicy`]) and the transaction retries
-//! with randomized exponential backoff. Eager acquisition plus abort-on-
-//! conflict means no deadlock is possible.
-//!
-//! The engine is generic over [`ConcurrentTable`], which is the entire
-//! point: running the same workload over a [`ConcurrentTaglessTable`] and a
-//! [`ConcurrentTaggedTable`] exposes exactly the false-conflict cost the
-//! paper analyses, on real threads rather than in Monte-Carlo form.
+//! The eager protocol — ownership acquired at first encounter, writes
+//! buffered until commit, a bounded stall and then abort-and-retry on
+//! conflict — exists once, in [`ShardedStm`]. `Stm` is that engine built
+//! with one table (`ShardMap::new(1, ..)`), so every transaction stays on
+//! the single-shard path. It is generic over [`ConcurrentTable`], which is
+//! the entire point: the same workload over a [`ConcurrentTaglessTable`]
+//! and a [`ConcurrentTaggedTable`] exposes exactly the false-conflict cost
+//! the paper analyses, on real threads rather than in Monte-Carlo form.
 
-use std::time::Instant;
+use tm_ownership::concurrent::ConcurrentTable;
+use tm_ownership::{ConcurrentTaggedTable, ConcurrentTaglessTable, ThreadId};
+use tm_telemetry::{NoopProbe, Probe};
 
-use tm_ownership::concurrent::{ConcurrentTable, Held};
-use tm_ownership::{Access, AcquireOutcome, BlockMapper, ConflictClass, ThreadId};
-use tm_ownership::{ConcurrentTaggedTable, ConcurrentTaglessTable};
-use tm_telemetry::{AbortCause, NoopProbe, Probe};
-
-use crate::contention::{Backoff, ContentionPolicy, RetryPolicy};
-use crate::engine::{ReadOps, TxnOps};
+use crate::contention::{ContentionPolicy, RetryPolicy};
+use crate::engine::TmEngine;
 use crate::heap::Heap;
-use crate::readpath::{PublishGate, ReadPathPolicy};
-use crate::scratch::ScratchGuard;
-use crate::stats::{StmStats, StmStatsSnapshot};
-
-/// Nanoseconds elapsed since an (optionally taken) probe timestamp; `0`
-/// when telemetry is off and no timestamp was taken.
-#[inline]
-pub(crate) fn elapsed_ns(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
-
-/// Map a table-attributed [`ConflictClass`] to the telemetry taxonomy.
-#[inline]
-pub(crate) fn cause_of_class(class: ConflictClass) -> AbortCause {
-    match class {
-        ConflictClass::KnownFalse => AbortCause::FalseConflict,
-        ConflictClass::KnownTrue => AbortCause::TrueConflict,
-        ConflictClass::Unknown => AbortCause::UnknownConflict,
-    }
-}
-
-/// Marker error: the current transaction attempt must be abandoned.
-///
-/// Returned by [`ReadOps::read`](crate::ReadOps::read)/[`TxnOps::write`]
-/// on conflict; user code
-/// propagates it with `?` and [`TmEngine::run`](crate::TmEngine::run)
-/// retries the whole closure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Aborted;
-
-impl std::fmt::Display for Aborted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "transaction aborted")
-    }
-}
-
-impl std::error::Error for Aborted {}
-
-/// The retry budget of [`TmEngine::try_run`](crate::TmEngine::try_run)
-/// (or of a bounded [`RetryPolicy`]) was exhausted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryLimitExceeded {
-    /// Attempts made (equals the configured budget).
-    pub attempts: u32,
-}
-
-impl std::fmt::Display for RetryLimitExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "transaction failed {} attempts", self.attempts)
-    }
-}
-
-impl std::error::Error for RetryLimitExceeded {}
-
-/// The transaction-body callback `run_with_budget` drives across attempts.
-type BodyFn<'b, 's, T, P, R> = &'b mut dyn FnMut(&mut Txn<'s, T, P>) -> Result<R, Aborted>;
-
-/// The read-only-body callback `run_read_with_budget` drives.
-type ReadBodyFn<'b, 's, T, P, R> = &'b mut dyn FnMut(&mut ReadTxn<'s, T, P>) -> Result<R, Aborted>;
+use crate::readpath::ReadPathPolicy;
+use crate::retry::{Aborted, RetryLimitExceeded};
+use crate::sharded::{ReadTxn, ShardedStm, Txn};
+use crate::stats::EngineStats;
 
 /// STM-wide configuration.
 #[derive(Clone, Copy, Debug, Default)]
@@ -96,7 +34,8 @@ pub struct StmConfig {
 }
 
 /// A software transactional memory over a shared [`Heap`], generic in the
-/// ownership-table organization `T` and the telemetry probe `P`.
+/// ownership-table organization `T` and the telemetry probe `P`: the eager
+/// engine ([`ShardedStm`]) at one shard.
 ///
 /// With the default [`NoopProbe`] every probe hook monomorphizes to
 /// nothing — no clock reads, no event bookkeeping — so the telemetry layer
@@ -104,16 +43,7 @@ pub struct StmConfig {
 /// [`Recorder`](tm_telemetry::Recorder)) is attached via
 /// [`StmBuilder::probe`](crate::StmBuilder::probe).
 #[derive(Debug)]
-pub struct Stm<T: ConcurrentTable, P: Probe = NoopProbe> {
-    heap: Heap,
-    table: T,
-    config: StmConfig,
-    stats: StmStats,
-    /// Seqlock-style gate between commit-time publication and the
-    /// table-free read-only path (see [`crate::readpath`]).
-    publish_gate: PublishGate,
-    probe: P,
-}
+pub struct Stm<T: ConcurrentTable, P: Probe = NoopProbe>(ShardedStm<T, P>);
 
 /// Shorthand for [`StmBuilder`](crate::StmBuilder)`::new().heap_words(..)
 /// .table_entries(..).build_tagless()`: an STM backed by a **tagless**
@@ -146,459 +76,95 @@ impl<T: ConcurrentTable> Stm<T> {
 impl<T: ConcurrentTable, P: Probe> Stm<T, P> {
     /// Build an STM with an attached telemetry probe.
     pub fn with_probe(heap_words: usize, table: T, config: StmConfig, probe: P) -> Self {
-        Self {
-            heap: Heap::new(heap_words),
-            table,
+        Self(ShardedStm::with_probe(
+            heap_words,
+            vec![table],
             config,
-            stats: StmStats::default(),
-            publish_gate: PublishGate::default(),
             probe,
-        }
+        ))
     }
 
     /// The attached telemetry probe.
     pub fn probe(&self) -> &P {
-        &self.probe
-    }
-
-    /// The shared heap (the public accessor is
-    /// [`TmEngine::heap`](crate::TmEngine::heap)).
-    pub(crate) fn heap_ref(&self) -> &Heap {
-        &self.heap
+        self.0.probe()
     }
 
     /// The ownership table (for stats inspection).
     pub fn table(&self) -> &T {
-        &self.table
+        self.0.shard_table(0)
     }
 
     /// The configuration.
     pub fn config(&self) -> &StmConfig {
-        &self.config
+        self.0.config()
     }
 
     /// Commit/abort counters so far.
-    pub fn stats(&self) -> StmStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// The retry loop behind
-    /// [`TmEngine::run_with`](crate::TmEngine::run_with) — the trait is the
-    /// public way to run transactions on any engine.
-    pub(crate) fn run_with_budget<'s, R>(
-        &'s self,
-        me: ThreadId,
-        max_attempts: u32,
-        body: BodyFn<'_, 's, T, P, R>,
-    ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        // All clock reads are behind the compile-time probe switch: with
-        // `NoopProbe` the timestamps are `None` and nothing below touches
-        // the clock.
-        let txn_start = P::ENABLED.then(Instant::now);
-        if P::ENABLED {
-            self.probe.on_txn_begin(me);
-        }
-        loop {
-            let attempt_start = P::ENABLED.then(Instant::now);
-            let mut txn = Txn::new(self, me);
-            match body(&mut txn) {
-                Ok(r) => {
-                    txn.commit();
-                    self.stats.on_commit(me);
-                    if P::ENABLED {
-                        self.probe.on_commit(
-                            me,
-                            elapsed_ns(attempt_start),
-                            elapsed_ns(txn_start),
-                            u64::from(attempts) + 1,
-                        );
-                    }
-                    return Ok(r);
-                }
-                Err(Aborted) => {
-                    let cause = txn.abort_cause.take().unwrap_or(AbortCause::ExplicitRetry);
-                    txn.rollback();
-                    self.stats.on_abort(me);
-                    if P::ENABLED {
-                        self.probe.on_abort(me, cause, elapsed_ns(attempt_start));
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
-                }
-            }
-        }
-    }
-
-    /// The retry loop behind
-    /// [`TmEngine::run_read_with`](crate::TmEngine::run_read_with): the
-    /// wait-free read-only path.
-    ///
-    /// An attempt spins (up to [`ReadPathPolicy::max_spins`]) for a
-    /// quiescent publication-gate epoch, runs the body against the bare
-    /// heap with per-read gate validation, and retries through backoff on
-    /// validation failure. No scratch is checked out, no ownership-table
-    /// grant is ever acquired, and nothing allocates — readers impose zero
-    /// table footprint on writers.
-    pub(crate) fn run_read_with_budget<'s, R>(
-        &'s self,
-        me: ThreadId,
-        max_attempts: u32,
-        body: ReadBodyFn<'_, 's, T, P, R>,
-    ) -> Result<R, RetryLimitExceeded> {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let mut backoff = Backoff::new(me as u64);
-        let mut attempts = 0u32;
-        let txn_start = P::ENABLED.then(Instant::now);
-        loop {
-            if P::ENABLED {
-                self.probe.on_read_begin(me);
-            }
-            // Wait out any in-flight publication; windows are a handful of
-            // relaxed stores, so the spin budget almost always suffices.
-            let mut epoch = self.publish_gate.reader_epoch();
-            let mut spins = 0u32;
-            while epoch.is_none() && spins < self.config.read_path.max_spins {
-                spins += 1;
-                std::hint::spin_loop();
-                epoch = self.publish_gate.reader_epoch();
-            }
-            let outcome = match epoch {
-                Some(epoch) => {
-                    let mut txn = ReadTxn {
-                        stm: self,
-                        epoch,
-                        reads: 0,
-                    };
-                    body(&mut txn)
-                }
-                None => Err(Aborted),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.stats.on_read_commit(me);
-                    if P::ENABLED {
-                        self.probe.on_read_commit(me, elapsed_ns(txn_start));
-                    }
-                    return Ok(r);
-                }
-                Err(Aborted) => {
-                    self.stats.on_read_validation_retry(me);
-                    if P::ENABLED {
-                        self.probe.on_read_validation_retry(me);
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Err(RetryLimitExceeded { attempts });
-                    }
-                    backoff.wait();
-                }
-            }
-        }
+    pub fn stats(&self) -> EngineStats {
+        self.0.stats()
     }
 
     /// Strong-isolation non-transactional read (paper §6): consult the
     /// ownership table so the read cannot observe a transaction's
     /// speculative state, spinning while a writer holds the block.
     pub fn strong_read(&self, me: ThreadId, addr: u64) -> u64 {
-        self.stats.on_strong(me, false);
-        // Invariant across spins — derive once, as Txn::acquire does.
-        let block = block_of(&self.table, addr);
-        loop {
-            match self.table.acquire(me, block, Access::Read, Held::None) {
-                AcquireOutcome::Granted => {
-                    let v = self.heap.load(addr);
-                    self.table
-                        .release(me, self.table.grant_key(block), Held::Read);
-                    return v;
-                }
-                AcquireOutcome::AlreadyHeld => {
-                    // Only possible if the caller misuses a transaction's id;
-                    // read without a release obligation.
-                    return self.heap.load(addr);
-                }
-                AcquireOutcome::Conflict(_) => {
-                    self.stats.on_strong_stall(me);
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        self.0.strong_read(me, addr)
     }
 
     /// Strong-isolation non-transactional write (paper §6); spins while any
     /// transaction holds the block.
     pub fn strong_write(&self, me: ThreadId, addr: u64, value: u64) {
-        self.stats.on_strong(me, true);
-        // Invariant across spins — derive once, as Txn::acquire does.
-        let block = block_of(&self.table, addr);
-        loop {
-            match self.table.acquire(me, block, Access::Write, Held::None) {
-                AcquireOutcome::Granted => {
-                    self.heap.store(addr, value);
-                    self.table
-                        .release(me, self.table.grant_key(block), Held::Write);
-                    return;
-                }
-                AcquireOutcome::AlreadyHeld => {
-                    self.heap.store(addr, value);
-                    return;
-                }
-                AcquireOutcome::Conflict(_) => {
-                    self.stats.on_strong_stall(me);
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        self.0.strong_write(me, addr, value)
     }
 }
 
-#[inline]
-fn block_of<T: ConcurrentTable>(table: &T, addr: u64) -> u64 {
-    table.config().mapper().block_of(addr)
-}
+/// Delegates to the one-shard [`ShardedStm`].
+impl<T: ConcurrentTable, P: Probe> TmEngine for Stm<T, P> {
+    type Txn<'e>
+        = Txn<'e, T, P>
+    where
+        Self: 'e;
 
-/// An in-flight transaction: the per-thread log (grant key → held level) and
-/// the speculative write buffer the paper's §2.1 describes.
-///
-/// All per-attempt structures live in a recycled [`TxnScratch`]
-/// (see [`crate::scratch`]) checked out of the thread's pool, and the
-/// table's block mapper plus the contention policy's spin budget are cached
-/// inline — so a steady-state attempt performs no heap allocation, no
-/// rehash, and no configuration re-derivation on any access.
-///
-/// [`TxnScratch`]: crate::scratch::TxnScratch
-#[derive(Debug)]
-pub struct Txn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
-    stm: &'s Stm<T, P>,
-    id: ThreadId,
-    /// Cached `table.config().mapper()` (a copy; deriving it per access
-    /// costs a config indirection on the hottest path).
-    mapper: BlockMapper,
-    /// Cached `config.contention.max_spins()`.
-    max_spins: u32,
-    scratch: ScratchGuard,
-    /// Stall-policy re-attempts this attempt; flushed to the shared
-    /// (striped) stats once per attempt instead of once per spin.
-    stall_retries: u64,
-    finished: bool,
-    reads: u64,
-    writes: u64,
-    /// Cause of the abort that ended this attempt (telemetry only; set at
-    /// the conflict site, consumed by the retry loop).
-    abort_cause: Option<AbortCause>,
-}
+    type ReadTxn<'e>
+        = ReadTxn<'e, T, P>
+    where
+        Self: 'e;
 
-impl<'s, T: ConcurrentTable, P: Probe> Txn<'s, T, P> {
-    fn new(stm: &'s Stm<T, P>, id: ThreadId) -> Self {
-        Self {
-            stm,
-            id,
-            mapper: stm.table.config().mapper(),
-            max_spins: stm.config.contention.max_spins(),
-            scratch: ScratchGuard::checkout(),
-            stall_retries: 0,
-            finished: false,
-            reads: 0,
-            writes: 0,
-            abort_cause: None,
-        }
+    fn run_with<'s, R>(
+        &'s self,
+        me: ThreadId,
+        policy: RetryPolicy,
+        body: impl FnMut(&mut Txn<'s, T, P>) -> Result<R, Aborted>,
+    ) -> Result<R, RetryLimitExceeded> {
+        self.0.run_with(me, policy, body)
     }
 
-    /// This transaction's thread id.
-    pub fn id(&self) -> ThreadId {
-        self.id
+    fn run_read_with<'s, R>(
+        &'s self,
+        me: ThreadId,
+        policy: RetryPolicy,
+        body: impl FnMut(&mut ReadTxn<'s, T, P>) -> Result<R, Aborted>,
+    ) -> Result<R, RetryLimitExceeded> {
+        self.0.run_read_with(me, policy, body)
     }
 
-    /// Distinct ownership grants currently held.
-    pub fn grant_count(&self) -> usize {
-        self.scratch.log.len()
+    fn retry_policy(&self) -> RetryPolicy {
+        self.0.retry_policy()
     }
 
-    /// Buffered (not yet committed) writes in this attempt.
-    pub fn pending_writes(&self) -> usize {
-        self.scratch.wbuf.len()
+    fn engine_stats(&self) -> EngineStats {
+        self.0.stats()
     }
 
-    fn acquire(&mut self, block: u64, access: Access) -> Result<(), Aborted> {
-        // Everything invariant across the stall-retry spins — grant key,
-        // currently-held level, spin budget — is resolved once, before the
-        // loop; each re-attempt is just the table CAS/probe plus a pause.
-        let key = self.stm.table.grant_key(block);
-        let held = self.scratch.log.get(key).unwrap_or(Held::None);
-        let mut spins = 0u32;
-        loop {
-            match self.stm.table.acquire(self.id, block, access, held) {
-                AcquireOutcome::Granted => {
-                    self.scratch.log.insert(key, held.after(access));
-                    if P::ENABLED {
-                        self.stm.probe.on_grant(self.id);
-                    }
-                    return Ok(());
-                }
-                AcquireOutcome::AlreadyHeld => return Ok(()),
-                AcquireOutcome::Conflict(c) => {
-                    if spins >= self.max_spins {
-                        if P::ENABLED {
-                            self.abort_cause = Some(cause_of_class(c.class));
-                        }
-                        return Err(Aborted);
-                    }
-                    spins += 1;
-                    self.stall_retries += 1;
-                    if P::ENABLED {
-                        self.stm.probe.on_stall(self.id);
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-
-    fn commit(mut self) {
-        // Footprint observation for adaptive sizing: distinct written
-        // blocks (the model's W, tracked incrementally in `write`) and
-        // total grants held ((1+α)·W).
-        self.stm.stats.on_commit_footprint(
-            self.id,
-            self.scratch.write_blocks.len() as u64,
-            self.scratch.log.len() as u64,
-        );
-
-        // Publish buffered writes, then release ownership. The table's
-        // Release/Acquire transitions order the (relaxed) heap stores before
-        // any subsequent reader's loads. The publish gate brackets the
-        // stores so the table-free read-only path can detect (and wait out)
-        // an in-flight publication; read-only transactions skip it
-        // entirely, so a writer only ever bumps its own gate shard —
-        // writers never stall on readers.
-        let stm = self.stm;
-        if !self.scratch.wbuf.is_empty() {
-            stm.publish_gate.publish_begin(self.id);
-            for (addr, value) in self.scratch.wbuf.iter() {
-                stm.heap.store(addr, value);
-            }
-            stm.publish_gate.publish_end(self.id);
-        }
-        self.finish();
-    }
-
-    fn rollback(mut self) {
-        // Speculative writes never reached the heap; just return grants.
-        // No clearing here: `ScratchGuard::checkout` is the single
-        // clearing authority, so the next attempt starts clean either way.
-        self.finish();
-    }
-
-    /// Common attempt epilogue: return grants, flush the batched stall
-    /// counter, mark done (the scratch returns to the pool when the guard
-    /// drops).
-    fn finish(&mut self) {
-        self.release_grants();
-        self.stm
-            .stats
-            .add_stall_retries(self.id, self.stall_retries);
-        self.stall_retries = 0;
-        self.finished = true;
-    }
-
-    fn release_grants(&mut self) {
-        // Runs exactly once per attempt (`finish` is guarded by the
-        // `finished` flag), so the log need not be cleared afterwards —
-        // checkout-time reset handles that.
-        let stm = self.stm;
-        for (key, held) in self.scratch.log.iter() {
-            stm.table.release(self.id, key, held);
-        }
-    }
-}
-
-/// The eager transaction's read surface: reads acquire block ownership
-/// eagerly (write-buffer hits are served locally).
-impl<T: ConcurrentTable, P: Probe> ReadOps for Txn<'_, T, P> {
-    fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
-        self.reads += 1;
-        if let Some(v) = self.scratch.wbuf.get(addr) {
-            return Ok(v);
-        }
-        self.acquire(self.mapper.block_of(addr), Access::Read)?;
-        Ok(self.stm.heap.load(addr))
-    }
-
-    fn read_count(&self) -> u64 {
-        self.reads
-    }
-}
-
-/// The eager transaction's write surface: writes acquire block ownership
-/// eagerly and stay buffered until commit.
-impl<T: ConcurrentTable, P: Probe> TxnOps for Txn<'_, T, P> {
-    fn write(&mut self, addr: u64, value: u64) -> Result<(), Aborted> {
-        self.writes += 1;
-        let block = self.mapper.block_of(addr);
-        self.acquire(block, Access::Write)?;
-        self.scratch.write_blocks.insert(block, ());
-        self.scratch.wbuf.insert(addr, value);
-        Ok(())
-    }
-
-    fn write_count(&self) -> u64 {
-        self.writes
-    }
-}
-
-/// An in-flight **read-only** transaction on the eager engine: three words
-/// on the stack, no scratch checkout, no ownership-table access.
-///
-/// Each read loads the heap word directly and then validates against the
-/// publication gate (see the `readpath` module docs): if no commit-time
-/// publication has started since this
-/// transaction's begin epoch, every value read so far belongs to one
-/// quiescent heap snapshot — the same guarantee the write path's ownership
-/// grants provide, at none of the cost, and invisible to writers.
-#[derive(Debug)]
-pub struct ReadTxn<'s, T: ConcurrentTable, P: Probe = NoopProbe> {
-    stm: &'s Stm<T, P>,
-    /// The publication-gate epoch observed at begin.
-    epoch: u64,
-    reads: u64,
-}
-
-impl<T: ConcurrentTable, P: Probe> ReadOps for ReadTxn<'_, T, P> {
-    fn read(&mut self, addr: u64) -> Result<u64, Aborted> {
-        let value = self.stm.heap.load(addr);
-        // Load first, fence, then re-check the gate: if any publication
-        // started since begin, the value may be torn — abort and retry.
-        if !self.stm.publish_gate.still_at(self.epoch) {
-            return Err(Aborted);
-        }
-        self.reads += 1;
-        Ok(value)
-    }
-
-    fn read_count(&self) -> u64 {
-        self.reads
-    }
-}
-
-impl<T: ConcurrentTable, P: Probe> Drop for Txn<'_, T, P> {
-    fn drop(&mut self) {
-        // A panic inside the body (or an early return path we didn't see)
-        // must not leak ownership grants (or the batched stall count).
-        if !self.finished {
-            self.finish();
-        }
+    fn heap(&self) -> &Heap {
+        self.0.heap()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::TmEngine;
+    use crate::engine::{ReadOps, TxnOps};
     use tm_ownership::TableConfig;
 
     #[test]
@@ -708,7 +274,7 @@ mod tests {
         // Simulate a panicking body: construct a Txn, acquire, drop it.
         let stm = tagged_stm(64, 256);
         {
-            let mut txn = Txn::new(&stm, 0);
+            let mut txn = Txn::new(&stm.0, 0, false);
             txn.write(0, 1).unwrap();
             // dropped here without commit/rollback
         }

@@ -68,7 +68,7 @@ use tm_ownership::ThreadId;
 
 use crate::engine::{ReadOps, TmEngine, TxnOps};
 use crate::heap::{Heap, WORD_BYTES};
-use crate::stm::Aborted;
+use crate::retry::Aborted;
 
 /// A value encodable into exactly one 64-bit heap word.
 ///

@@ -69,7 +69,9 @@ pub use hashing::{BlockAddr, BlockMapper, EntryIndex, HashKind, TableConfig};
 pub use smallmap::{FastHashState, SmallKey, SmallMap};
 pub use tagged::{Bucket, OwnershipRecord, TaggedTable};
 pub use tagless::TaglessTable;
-pub use versioned::{fingerprint_of, Stamp, VersionedStats, VersionedTable, FP_NONE, FP_SATURATED};
+pub use versioned::{
+    classify_fp, fingerprint_of, Stamp, VersionedStats, VersionedTable, FP_NONE, FP_SATURATED,
+};
 
 /// Common interface over sequential ownership-table organizations.
 ///

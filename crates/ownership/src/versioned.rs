@@ -20,6 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::entry::ConflictClass;
 use crate::hashing::{BlockAddr, EntryIndex, TableConfig};
 
 /// Entry encoding: bit 0 = locked, bits 1..34 = version, bits 34..64 = the
@@ -53,6 +54,21 @@ pub fn fingerprint_of(block: BlockAddr) -> u32 {
     }
 }
 
+/// Classify a conflict by comparing the fingerprint found in an entry word
+/// (`theirs`: the block of the writer that locked or last bumped it)
+/// against the fingerprint of the block accessed there (`mine`). Unknown or
+/// saturated fingerprints on either side prove nothing.
+#[inline]
+pub fn classify_fp(theirs: u32, mine: u32) -> ConflictClass {
+    if theirs == FP_NONE || theirs == FP_SATURATED || mine == FP_NONE || mine == FP_SATURATED {
+        ConflictClass::Unknown
+    } else if theirs == mine {
+        ConflictClass::KnownTrue
+    } else {
+        ConflictClass::KnownFalse
+    }
+}
+
 #[inline]
 fn pack(version: u64, locked: bool, fp: u32) -> u64 {
     ((version & VERSION_MASK) << 1) | locked as u64 | ((fp as u64) << FP_SHIFT)
@@ -78,15 +94,6 @@ impl Stamp {
             locked: word & LOCKED != 0,
             fp: (word >> FP_SHIFT) as u32,
         }
-    }
-
-    /// Whether the stamp's fingerprint *proves* the covered block differs
-    /// from `block` (i.e. a conflict against this entry would be false).
-    /// Saturated or absent fingerprints prove nothing.
-    #[inline]
-    pub fn covers_other_block(&self, block: BlockAddr) -> bool {
-        let mine = fingerprint_of(block);
-        self.fp != FP_NONE && self.fp != FP_SATURATED && mine != FP_SATURATED && self.fp != mine
     }
 }
 
@@ -176,36 +183,40 @@ impl VersionedTable {
     /// [`VersionedTable::try_lock_fp`] with no fingerprint.
     #[inline]
     pub fn try_lock(&self, entry: EntryIndex, version: u64) -> bool {
-        self.try_lock_fp(entry, version, FP_NONE)
+        self.try_lock_fp(entry, version, FP_NONE).is_ok()
     }
 
     /// Attempt to write-lock `entry`, expecting it unlocked at `version`,
     /// installing `fp` (the fingerprint of the block being written) in the
     /// locked word so concurrent aborters can classify their conflicts
-    /// against this lock. Returns whether the lock was obtained.
+    /// against this lock. On failure, returns the stamp that blocked the
+    /// lock: the word as this attempt saw it, which a later sample may no
+    /// longer show (the blocking locker may have restored the entry since).
     #[inline]
-    pub fn try_lock_fp(&self, entry: EntryIndex, version: u64, fp: u32) -> bool {
+    pub fn try_lock_fp(&self, entry: EntryIndex, version: u64, fp: u32) -> Result<(), Stamp> {
         // Load-check-CAS rather than a blind CAS: the stored word carries the
         // previous writer's fingerprint, which the caller cannot know.
         let cell = &self.entries[entry];
         let cur = cell.load(Ordering::Acquire);
         let s = Stamp::from_word(cur);
-        let ok = !s.locked
-            && s.version == version
-            && cell
-                .compare_exchange(
-                    cur,
-                    pack(version, true, fp),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok();
-        if ok {
-            self.counters.locks.fetch_add(1, Ordering::Relaxed);
+        let result = if s.locked || s.version != version {
+            Err(s)
         } else {
-            self.counters.lock_conflicts.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+            cell.compare_exchange(
+                cur,
+                pack(version, true, fp),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .map(|_| ())
+            .map_err(Stamp::from_word)
+        };
+        let counter = match result {
+            Ok(()) => &self.counters.locks,
+            Err(_) => &self.counters.lock_conflicts,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        result
     }
 
     /// Release a lock previously obtained with [`VersionedTable::try_lock`],
@@ -241,18 +252,25 @@ impl VersionedTable {
 
     /// Commit-time read validation: the entry must be unlocked and still at
     /// `expected_version`. `locked_by_me` lets a transaction pass entries it
-    /// locked itself (read-write overlap at the same entry).
+    /// locked itself (read-write overlap at the same entry). On failure,
+    /// returns the stamp that failed it.
     #[inline]
-    pub fn validate(&self, entry: EntryIndex, expected_version: u64, locked_by_me: bool) -> bool {
+    pub fn validate(
+        &self,
+        entry: EntryIndex,
+        expected_version: u64,
+        locked_by_me: bool,
+    ) -> Result<(), Stamp> {
         self.counters.validations.fetch_add(1, Ordering::Relaxed);
         let s = Stamp::from_word(self.entries[entry].load(Ordering::Acquire));
-        let ok = s.version == expected_version && (!s.locked || locked_by_me);
-        if !ok {
+        if s.version == expected_version && (!s.locked || locked_by_me) {
+            Ok(())
+        } else {
             self.counters
                 .validation_failures
                 .fetch_add(1, Ordering::Relaxed);
+            Err(s)
         }
-        ok
     }
 
     /// Copy the statistics counters.
@@ -313,36 +331,60 @@ mod tests {
         let t = table(16);
         let e = 4;
         // Lock with block 9's fingerprint; a bump preserves it.
-        assert!(t.try_lock_fp(e, 0, fingerprint_of(9)));
+        assert!(t.try_lock_fp(e, 0, fingerprint_of(9)).is_ok());
         assert_eq!(t.sample(e).fp, fingerprint_of(9));
         t.unlock_bump(e, 1);
         let s = t.sample(e);
         assert!(!s.locked);
         assert_eq!(s.fp, fingerprint_of(9));
-        assert!(s.covers_other_block(10));
-        assert!(!s.covers_other_block(9));
+        assert_eq!(
+            classify_fp(s.fp, fingerprint_of(10)),
+            ConflictClass::KnownFalse
+        );
+        assert_eq!(
+            classify_fp(s.fp, fingerprint_of(9)),
+            ConflictClass::KnownTrue
+        );
 
         // An aborting locker restores the previous writer's fingerprint.
-        assert!(t.try_lock_fp(e, 1, fingerprint_of(25)));
+        assert!(t.try_lock_fp(e, 1, fingerprint_of(25)).is_ok());
         assert_eq!(t.sample(e).fp, fingerprint_of(25));
         t.unlock_restore_fp(e, 1, s.fp);
         let s = t.sample(e);
         assert_eq!((s.version, s.locked, s.fp), (1, false, fingerprint_of(9)));
 
-        // Unknown and saturated fingerprints prove nothing.
-        assert!(!Stamp {
-            version: 0,
-            locked: false,
-            fp: FP_NONE
+        // Unknown and saturated fingerprints prove nothing, on either side.
+        let mine = fingerprint_of(3);
+        for (theirs, mine) in [
+            (FP_NONE, mine),
+            (FP_SATURATED, mine),
+            (fingerprint_of(9), FP_NONE),
+            (fingerprint_of(9), FP_SATURATED),
+        ] {
+            assert_eq!(classify_fp(theirs, mine), ConflictClass::Unknown);
         }
-        .covers_other_block(3));
-        assert!(!Stamp {
-            version: 0,
-            locked: false,
-            fp: FP_SATURATED
-        }
-        .covers_other_block(3));
         assert_eq!(fingerprint_of(u64::MAX), FP_SATURATED);
+    }
+
+    #[test]
+    fn failed_lock_reports_the_blocking_stamp_after_restore() {
+        // A writer of block 25 finds the entry locked by a writer of block
+        // 9, which then aborts and restores the entry — to the block-25
+        // writer's *own* earlier fingerprint. The blocking stamp must name
+        // block 9 (false conflict); a re-sample would read as a true one.
+        let t = table(16);
+        let e = 4;
+        t.try_lock_fp(e, 0, fingerprint_of(25)).unwrap();
+        t.unlock_bump(e, 1);
+        t.try_lock_fp(e, 1, fingerprint_of(9)).unwrap();
+        let seen = t.try_lock_fp(e, 1, fingerprint_of(25)).unwrap_err();
+        assert_eq!(t.validate(e, 1, false).unwrap_err(), seen);
+        t.unlock_restore_fp(e, 1, fingerprint_of(25));
+
+        assert_eq!((seen.locked, seen.fp), (true, fingerprint_of(9)));
+        let mine = fingerprint_of(25);
+        assert_eq!(classify_fp(seen.fp, mine), ConflictClass::KnownFalse);
+        assert_eq!(classify_fp(t.sample(e).fp, mine), ConflictClass::KnownTrue);
     }
 
     #[test]
@@ -362,14 +404,17 @@ mod tests {
     fn validation_semantics() {
         let t = table(16);
         let e = 2;
-        assert!(t.validate(e, 0, false));
-        assert!(!t.validate(e, 9, false));
+        assert!(t.validate(e, 0, false).is_ok());
+        assert!(t.validate(e, 9, false).is_err());
         assert!(t.try_lock(e, 0));
-        assert!(!t.validate(e, 0, false), "locked by another txn must fail");
-        assert!(t.validate(e, 0, true), "own lock passes");
+        assert!(
+            t.validate(e, 0, false).is_err(),
+            "locked by another txn must fail"
+        );
+        assert!(t.validate(e, 0, true).is_ok(), "own lock passes");
         t.unlock_bump(e, 3);
-        assert!(!t.validate(e, 0, false), "version moved");
-        assert!(t.validate(e, 3, false));
+        assert!(t.validate(e, 0, false).is_err(), "version moved");
+        assert!(t.validate(e, 3, false).is_ok());
     }
 
     #[test]
@@ -383,7 +428,7 @@ mod tests {
         assert!(t.try_lock(e_b, 0));
         t.unlock_bump(e_b, 1);
         assert!(
-            !t.validate(e_a, read_stamp.version, false),
+            t.validate(e_a, read_stamp.version, false).is_err(),
             "reader of block 3 must be (falsely) invalidated by writer of block 19"
         );
     }
@@ -395,8 +440,8 @@ mod tests {
         t.try_lock(0, 0);
         t.sample(0); // locked sample
         t.try_lock(0, 0); // conflict
-        t.validate(0, 0, true);
-        t.validate(0, 5, false); // failure
+        let _ = t.validate(0, 0, true);
+        let _ = t.validate(0, 5, false); // failure
         let s = t.stats();
         assert_eq!(s.samples, 2);
         assert_eq!(s.sampled_locked, 1);

@@ -2,10 +2,7 @@
 
 use tm_ownership::concurrent::ConcurrentTable;
 use tm_ownership::{ConcurrentTaggedTable, ConcurrentTaglessTable};
-use tm_stm::{Probe, StmBuilder};
-
-use crate::engine::ShardedStm;
-use crate::map::ShardMap;
+use tm_stm::{Probe, ShardedStm, StmBuilder};
 
 /// Terminal methods extending [`StmBuilder`] with the sharded engine, so
 /// sharded builds read exactly like unsharded ones:
@@ -76,19 +73,9 @@ impl<P: Probe + Clone> ShardedStmBuilder for StmBuilder<P> {
             self.configured_shards(),
             "table count must match the configured shard count"
         );
-        let block_bytes = tables
-            .first()
-            .map(|t| t.config().mapper().block_bytes())
-            .unwrap_or(64);
-        let map = ShardMap::for_heap(
-            self.configured_shards(),
-            self.configured_heap_words(),
-            block_bytes,
-        );
         ShardedStm::with_probe(
             self.configured_heap_words(),
             tables,
-            map,
             self.stm_config(),
             self.configured_probe(),
         )

@@ -1,56 +1,15 @@
-//! A sharded STM engine: S independent ownership tables and stats blocks
-//! behind one [`TmEngine`](tm_stm::TmEngine), with ordered cross-shard
-//! commit.
+//! The sharded face of `tm-stm`'s one eager engine: [`StmBuilder`]
+//! terminals that build [`ShardedStm`] at any shard count.
 //!
-//! One ownership table is the ceiling on raw scale: every engine in
-//! `tm-stm` funnels all grants through a single table, so t8/t16
-//! throughput flattens well before the hardware does. This crate
-//! partitions the **conflict-detection state** — ownership table, commit
-//! statistics, and (via `tm-adaptive`) the resize controller — into `S`
-//! shards selected by a [`ShardMap`] over cache-block addresses, while
-//! keeping **one heap and one publication gate**, so the typed layer,
-//! `tm-structs`, and the wait-free `run_read` path work unchanged.
+//! The engine itself — the per-shard ownership tables and statistics, eager
+//! single-shard transactions, escalation to cross-shard mode, and the
+//! ordered two-phase cross-shard commit — lives in `tm_stm::sharded`, where
+//! [`tm_stm::Stm`] is the same engine at one shard. This crate keeps the
+//! builder extension ([`ShardedStmBuilder`]), which splits the builder's
+//! total table-entry budget evenly across `S` shards, and re-exports the
+//! engine types it mints. See `tm_stm::sharded` for the protocol.
 //!
-//! # Protocol
-//!
-//! Transactions start in **eager mode**, pinned to the shard of their
-//! first-touched block (the *home* shard). As long as every access stays
-//! home, the protocol is byte-for-byte today's eager engine — eager grant
-//! acquisition with bounded stall-then-abort, buffered writes, one
-//! publication-gate bracket at commit. A single-shard transaction
-//! therefore pays one shard lookup per access and nothing else.
-//!
-//! The first access to a second shard **escalates** the transaction: the
-//! attempt is abandoned (grants released, nothing published) and the body
-//! restarts in **cross-shard mode**, which acquires *no* grants during the
-//! body. Reads are served from a publication-gate-validated heap snapshot
-//! (the same epoch scheme as `run_read`, with whole-read-log revalidation
-//! when the epoch moves), values are logged, and writes stay buffered.
-//! Commit is then an ordered two-phase protocol:
-//!
-//! 1. **Acquire**: grants for the full footprint — write blocks at
-//!    `Access::Write`, read blocks at `Access::Read` — are acquired in
-//!    strictly ascending `(shard index, grant key)` order, spinning on
-//!    conflict up to a (large, bounded) budget.
-//! 2. **Validate + publish**: every logged read value is re-checked
-//!    against the heap (grant holds make the checked words stable), then
-//!    all buffered stores are published inside a single
-//!    [`PublishGate`](tm_stm::PublishGate) bracket and every grant is
-//!    released.
-//!
-//! **Deadlock freedom**: all *blocking* acquisition in the system is the
-//! cross-shard commit phase, and it is globally ordered — two committers
-//! can never wait on each other in a cycle. Eager-mode transactions
-//! acquire unordered but never block unboundedly (bounded stall, then
-//! abort-and-release), so every wait in the system terminates. The
-//! [`AcquireOrder::Unordered`] mutant exists purely to *prove* the
-//! ordering is load-bearing: under opposing cross-shard transfers it
-//! produces circular waits that exhaust the acquisition budget.
-//!
-//! **Reader atomicity**: the publication gate is shared by every shard,
-//! and a cross-shard commit publishes its entire write set inside one
-//! bracket — a `run_read` transaction can never observe a half-committed
-//! cross-shard transaction, regardless of how many shards it spans.
+//! [`StmBuilder`]: tm_stm::StmBuilder
 //!
 //! # Quick start
 //!
@@ -82,10 +41,6 @@
 #![forbid(unsafe_code)]
 
 mod builder;
-mod engine;
-mod map;
-mod scratch;
 
 pub use builder::ShardedStmBuilder;
-pub use engine::{AcquireOrder, ShardReadTxn, ShardTxn, ShardedStm, DEFAULT_COMMIT_SPINS};
-pub use map::ShardMap;
+pub use tm_stm::{AcquireOrder, ShardMap, ShardedStm, DEFAULT_COMMIT_SPINS};

@@ -2,8 +2,10 @@
 //!
 //! Implements the group/bench/iter API surface the workspace's benches use,
 //! with plain wall-clock timing and stdout reporting instead of criterion's
-//! statistical machinery. Good enough to smoke-run every bench and eyeball
-//! relative numbers; not a statistics engine.
+//! statistical machinery: each benchmark prints the median, mean and the
+//! min–max spread of its per-sample times. Good enough to smoke-run every
+//! bench and compare numbers with their noise in view; not a statistics
+//! engine.
 //!
 //! Honors `CRITERION_SAMPLE_OVERRIDE=<n>` to force a sample count (CI smoke
 //! runs set it to 1).
@@ -112,24 +114,59 @@ impl BenchmarkGroup<'_> {
             .max(1);
         let mut b = Bencher {
             samples,
-            total: Duration::ZERO,
-            iters: 0,
+            times: Vec::with_capacity(samples),
         };
         f(&mut b);
-        let mean = if b.iters > 0 {
-            b.total / b.iters as u32
+        match Summary::of(&mut b.times) {
+            Some(s) => println!(
+                "  {id:<40} {:>12.3?}/iter median (mean {:.3?}, min {:.3?}, max {:.3?}; {} iters)",
+                s.median,
+                s.mean,
+                s.min,
+                s.max,
+                b.times.len()
+            ),
+            None => println!("  {id:<40} (no iterations)"),
+        }
+    }
+}
+
+/// Per-sample time statistics of one benchmark.
+#[derive(Debug, PartialEq)]
+struct Summary {
+    median: Duration,
+    mean: Duration,
+    min: Duration,
+    max: Duration,
+}
+
+impl Summary {
+    /// Summarize `times` (sorted in place); `None` when empty. The median
+    /// of an even count is the mean of the two middle samples.
+    fn of(times: &mut [Duration]) -> Option<Summary> {
+        let n = times.len();
+        if n == 0 {
+            return None;
+        }
+        times.sort_unstable();
+        let median = if n % 2 == 1 {
+            times[n / 2]
         } else {
-            Duration::ZERO
+            (times[n / 2 - 1] + times[n / 2]) / 2
         };
-        println!("  {id:<40} {mean:>12.3?}/iter ({} iters)", b.iters);
+        Some(Summary {
+            median,
+            mean: times.iter().sum::<Duration>() / n as u32,
+            min: times[0],
+            max: times[n - 1],
+        })
     }
 }
 
 /// Passed to benchmark closures; `iter` times the hot loop.
 pub struct Bencher {
     samples: usize,
-    total: Duration,
-    iters: u64,
+    times: Vec<Duration>,
 }
 
 impl Bencher {
@@ -139,8 +176,7 @@ impl Bencher {
         for _ in 0..self.samples {
             let t0 = Instant::now();
             black_box(routine());
-            self.total += t0.elapsed();
-            self.iters += 1;
+            self.times.push(t0.elapsed());
         }
     }
 }
@@ -185,6 +221,27 @@ mod tests {
         g.finish();
         // 1 warm-up + 3 samples.
         assert_eq!(runs, 4);
+    }
+
+    #[test]
+    fn summary_reports_median_and_spread() {
+        let ms = Duration::from_millis;
+        assert_eq!(Summary::of(&mut []), None);
+        let odd = Summary::of(&mut [ms(9), ms(1), ms(2)]).unwrap();
+        assert_eq!(
+            odd,
+            Summary {
+                median: ms(2),
+                mean: ms(4),
+                min: ms(1),
+                max: ms(9),
+            }
+        );
+        let even = Summary::of(&mut [ms(4), ms(1), ms(3), ms(2)]).unwrap();
+        assert_eq!(
+            (even.median, even.min, even.max),
+            (ms(2) + ms(1) / 2, ms(1), ms(4))
+        );
     }
 
     #[test]
